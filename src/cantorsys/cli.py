@@ -697,6 +697,21 @@ def _cmd_product(args, checks: Checks, payload: dict) -> None:
 # -- parser ---------------------------------------------------------------------------
 
 
+def _int_at_least(lower: int):
+    """argparse type: an integer >= lower, so a bad value is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"must be >= {lower}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cantorsys",
@@ -710,15 +725,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub_sub.add_parser(name)
         p.add_argument("--file", required=True)
         p.add_argument("--verify", action="store_true")
-        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-        p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+        p.add_argument("--depth", type=_int_at_least(0), default=DEFAULT_DEPTH)
+        p.add_argument("--horizon", type=_int_at_least(1), default=DEFAULT_HORIZON)
         p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
         if name == "language":
             p.add_argument("--length", type=int, default=0)
         if name == "derive":
             p.add_argument("--letter", required=True)
         if name == "self-induce":
-            p.add_argument("--samples", type=int, default=20)
+            p.add_argument("--samples", type=_int_at_least(1), default=20)
 
     odo = top.add_parser("odo", help="odometers")
     odo_sub = odo.add_subparsers(dest="odo_command", required=True)
@@ -761,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "simple":
             p.add_argument("--window", type=int, default=1)
         if name == "proper":
-            p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+            p.add_argument("--depth", type=_int_at_least(0), default=DEFAULT_DEPTH)
         if name == "vershik":
             p.add_argument("--prefix", required=True)
         if name == "contract":
@@ -773,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--level", type=int, default=1)
         if name == "poincare":
             p.add_argument("--source", required=True)
-            p.add_argument("--depth", type=int, default=3)
+            p.add_argument("--depth", type=_int_at_least(0), default=3)
 
     gsub = top.add_parser("gensub", help="generalized substitutions")
     gsub_sub = gsub.add_subparsers(dest="gensub_command", required=True)
@@ -789,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = gsub_sub.add_parser(name)
         p.add_argument("--file")
         p.add_argument("--builtin")
-        p.add_argument("--resolution", type=int, default=8)
+        p.add_argument("--resolution", type=_int_at_least(1), default=8)
         p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
         p.add_argument("--verify", action="store_true")
         if name == "primitive":
@@ -808,19 +823,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--system", required=True)
         if name == "power-check":
             p.add_argument("--power", type=int, default=3)
-            p.add_argument("--samples", type=int, default=8)
+            p.add_argument("--samples", type=_int_at_least(1), default=8)
 
     prod = top.add_parser("product", help="the subshift x odometer example")
     prod_sub = prod.add_subparsers(dest="product_command", required=True)
     p = prod_sub.add_parser("verify")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--depth", type=_int_at_least(0), default=DEFAULT_DEPTH)
+    p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--verify", action="store_true")
     p = prod_sub.add_parser("witness")
     p.add_argument("--kind", choices=("nonexpansive", "nonequicontinuous"), required=True)
     p.add_argument("--epsilon", default="1/81")
     p.add_argument("--delta", default="1/32")
-    p.add_argument("--horizon", type=int, default=16)
+    p.add_argument("--horizon", type=_int_at_least(1), default=16)
     p.add_argument("--verify", action="store_true")
 
     return parser

@@ -67,6 +67,11 @@ class IncoherentPoint(CantorSysError):
     pass
 
 
+class FactorisationUnknown(CantorSysError):
+    """An integer could not be split into certified primes within the
+    factoring work budget."""
+
+
 # -- bratteli ----------------------------------------------------------
 
 class InvalidDiagram(CantorSysError):

@@ -9,6 +9,7 @@ arithmetic is exact big-integer arithmetic on truncations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -17,6 +18,7 @@ from typing import Mapping
 from . import bratteli
 from .errors import (
     ConstructionError,
+    FactorisationUnknown,
     IncoherentPoint,
     NotEventuallyPeriodic,
 )
@@ -113,27 +115,106 @@ class ValuationProfile:
 CharacteristicSequence = EventuallyPeriodic | ValuationProfile
 
 
+_SMALL_PRIMES = tuple(
+    p for p in range(2, 100) if all(p % d for d in range(2, math.isqrt(p) + 1))
+)
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015); above it a pass is only probable.
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# Pollard-Brent polynomial steps allowed per factorisation; rho splits off
+# a prime p in about sqrt(p) steps, so factors up to about 10^11 fit.
+_RHO_BUDGET = 1 << 20
+
+
 def _is_prime(n: int) -> bool:
+    """Trial division by the small primes, then deterministic Miller-Rabin;
+    raises FactorisationUnknown for a probable prime beyond the exact range."""
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
             return False
-        i += 1
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT_BELOW:
+        raise FactorisationUnknown(f"{n} passes Miller-Rabin but is too large to certify prime")
     return True
 
 
+def _rho_factor(n: int, budget: int) -> tuple[int, int]:
+    """A proper factor of the composite n, which has no small prime factor,
+    by Brent's variant of Pollard's rho; returns (factor, budget left)."""
+    batch = 128
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            budget -= r
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            budget -= r
+            if budget < 0:
+                raise FactorisationUnknown(f"no factor of {n} within the rho work budget")
+            r *= 2
+        if g == n:
+            # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g, budget
+
+
 def _factorise(n: int) -> dict[int, int]:
+    """Prime factorisation {p: k} of n >= 1, primes increasing: small primes
+    by trial division, larger factors by Pollard-Brent rho under a work
+    budget (FactorisationUnknown when it runs out)."""
     out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        p += 1
+    else:
+        # every prime factor left is above the small primes
+        budget = _RHO_BUDGET
+        pending = [n] if n > 1 else []
+        while pending:
+            m = pending.pop()
+            if _is_prime(m):
+                out[m] = out.get(m, 0) + 1
+            else:
+                d, budget = _rho_factor(m, budget)
+                pending += [d, m // d]
+        return dict(sorted(out.items()))
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 

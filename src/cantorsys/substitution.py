@@ -122,17 +122,17 @@ class Substitution:
         return self._power_cache[k]
 
     def language_at(self, horizon: int) -> Language:
-        """Cached language; grows the cache monotonically."""
-        best = max((h for h in self._lang_cache if h >= horizon), default=None)
-        if best is not None:
-            cached = self._lang_cache[best]
-            if best == horizon:
-                return cached
-            return Language(
-                {n: cached.words(n) for n in range(1, horizon + 1)}, horizon, check=False
-            )
-        lang = language(self, horizon)
-        self._lang_cache[horizon] = lang
+        """The language up to the horizon, memoised per horizon: built once
+        when no larger horizon is cached, else a truncation of the largest
+        cached one that shares its storage."""
+        lang = self._lang_cache.get(horizon)
+        if lang is None:
+            best = max((h for h in self._lang_cache if h > horizon), default=None)
+            if best is None:
+                lang = language(self, horizon)
+            else:
+                lang = self._lang_cache[best].truncate(horizon)
+            self._lang_cache[horizon] = lang
         return lang
 
     def __eq__(self, other) -> bool:
@@ -256,11 +256,18 @@ def _require_primitive(s: Substitution) -> None:
 def language(s: Substitution, horizon: int) -> Language:
     """The language of the subshift up to the horizon.
 
-    Computed as the least fixed point of "close under factors of images".
-    A factor of sigma(u) of length <= horizon spans at most horizon letters
-    of u, and every language word extends to a full-length one, so it is
-    enough to saturate the set of length-`horizon` words under
-    u -> factors(sigma(u)) and harvest the shorter factors at the end.
+    L_horizon is the least fixed point of "close under factors of images":
+    a length-`horizon` factor of sigma(u) spans at most `horizon` letters of
+    u, so saturating the length-`horizon` factors of a long iterate under
+    u -> length-`horizon` factors of sigma(u) reaches every word of
+    L_horizon and nothing else.
+
+    The shorter levels come by a prefix chain: L_n is L_{n+1} with the last
+    letter of every word dropped, for n = horizon - 1 down to 1.  This is
+    complete because the subshift is minimal, so every word of its language
+    occurs in a bi-infinite point and extends to the right: each word of L_n
+    is a prefix of a word of L_{n+1}.  Both Language invariants are
+    checked on the result.
     """
     report = is_primitive(s)
     if not report:
@@ -294,16 +301,10 @@ def language(s: Substitution, horizon: int) -> Language:
                     fresh.append(v)
         frontier = fresh
 
-    by_length: dict[int, set[Word]] = {n: set() for n in range(1, horizon + 1)}
-    by_length[horizon] = {Word(u) for u in full}
-    shorter: set[tuple] = set()
-    for u in full:
-        for n in range(1, horizon):
-            for i in range(horizon - n + 1):
-                shorter.add(u[i : i + n])
-    for w in shorter:
-        by_length[len(w)].add(Word(w))
-    return Language(by_length, horizon)
+    levels = {horizon: full}
+    for n in range(horizon - 1, 0, -1):
+        levels[n] = {u[:-1] for u in levels[n + 1]}
+    return Language._from_levels(levels, horizon)
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,7 @@ def periodicity_check(s: Substitution) -> PeriodicityResult:
     p_bound = len(s.alphabet) * s.max_image_length() ** 2
     horizon = 2 * p_bound
     lang = s.language_at(horizon)
-    complexity = tuple(len(lang.words(n)) for n in range(1, horizon + 1))
+    complexity = tuple(lang.count(n) for n in range(1, horizon + 1))
     for n in range(1, horizon + 1):
         if complexity[n - 1] <= n:
             period = complexity[n - 1]
@@ -351,7 +352,9 @@ def periodicity_check(s: Substitution) -> PeriodicityResult:
             text = word.letters * reps
             for m in range(1, horizon + 1):
                 cycle_factors = {Word(text[i : i + m]) for i in range(period)}
-                if cycle_factors != set(lang.words(m)):
+                if len(cycle_factors) != lang.count(m) or not all(
+                    f in lang for f in cycle_factors
+                ):
                     raise ConstructionError(
                         "complexity indicates a periodic orbit the language does not match"
                     )
@@ -785,6 +788,10 @@ def verify_self_induced(
     letter on the overlap of the requested depth.  Sampling is a
     deterministic enumeration of window positions in an iterated image.
     """
+    if samples < 1:
+        raise ConstructionError("self-induction check needs at least one sample")
+    if depth < 0:
+        raise ConstructionError("self-induction check needs a non-negative depth")
     radius = recognizability_radius(s, radius_bound)
     if radius is None:
         raise RecognizabilityUnknown(f"no recognizability radius <= {radius_bound}")

@@ -156,9 +156,14 @@ class Language:
     word are stored) and extendable (every word of length < horizon is a
     prefix and a suffix of stored longer words).  Genuine subshift languages
     satisfy both; raw factor sets of finite texts generally fail the second.
+
+    Each L_n is stored once as a set.  The sorted tuple `words(n)` returns is
+    computed on the first call for that length and cached; `truncate` gives
+    the language at a lower horizon, sharing the stored sets and the sorted
+    cache, so a truncation copies no word and sorts nothing.
     """
 
-    __slots__ = ("_by_length", "_horizon")
+    __slots__ = ("_by_length", "_horizon", "_sorted")
 
     def __init__(self, words_by_length: Mapping[int, Iterable[Word]], horizon: int, check: bool = True):
         if horizon < 1:
@@ -172,24 +177,44 @@ class Language:
                 if len(w) != n:
                     raise ConstructionError(f"word {w!r} filed under wrong length {n}")
             by_length[n] = ws
+        if check:
+            self._check({n: {w.letters for w in ws} for n, ws in by_length.items()}, horizon)
         self._by_length = by_length
         self._horizon = horizon
-        if check:
-            self._check()
+        self._sorted: dict[int, tuple[Word, ...]] = {}
 
-    def _check(self) -> None:
-        for n in range(2, self._horizon + 1):
-            shorter = self._by_length[n - 1]
-            for w in self._by_length[n]:
-                if w[:-1] not in shorter or w[1:] not in shorter:
-                    raise ConstructionError(f"language not factor-closed at {w!r}")
-        for n in range(1, self._horizon):
-            longer = self._by_length[n + 1]
-            prefixes = {w[:-1] for w in longer}
-            suffixes = {w[1:] for w in longer}
-            for w in self._by_length[n]:
-                if w not in prefixes or w not in suffixes:
-                    raise ConstructionError(f"language not extendable at {w!r}")
+    @classmethod
+    def _from_levels(cls, levels: Mapping[int, set[tuple]], horizon: int) -> "Language":
+        """Language of letter tuples filed by length 1..horizon (each level
+        non-empty and of the right length), after checking both invariants."""
+        cls._check(levels, horizon)
+        lang = object.__new__(cls)
+        lang._by_length = {n: frozenset({Word(u) for u in levels[n]}) for n in range(1, horizon + 1)}
+        lang._horizon = horizon
+        lang._sorted = {}
+        return lang
+
+    @staticmethod
+    def _check(levels: Mapping[int, set[tuple]], horizon: int) -> None:
+        """Raise unless the letter-tuple levels are factor-closed and extendable.
+
+        Given factor-closure, the one-letter truncations of L_{n+1} lie in
+        L_n, so L_n is extendable exactly when both truncation sets have as
+        many words as L_n."""
+        not_extendable = None
+        for n in range(2, horizon + 1):
+            shorter = levels[n - 1]
+            heads = {u[:-1] for u in levels[n]}
+            tails = {u[1:] for u in levels[n]}
+            if not (heads <= shorter and tails <= shorter):
+                bad = next(u for u in levels[n] if u[:-1] not in shorter or u[1:] not in shorter)
+                raise ConstructionError(f"language not factor-closed at {Word(bad)!r}")
+            if not_extendable is None and not (len(heads) == len(tails) == len(shorter)):
+                not_extendable = (shorter, heads, tails)
+        if not_extendable is not None:
+            shorter, heads, tails = not_extendable
+            bad = next(u for u in shorter if u not in heads or u not in tails)
+            raise ConstructionError(f"language not extendable at {Word(bad)!r}")
 
     @classmethod
     def from_text(cls, texts: Iterable[Word], horizon: int, check: bool = True) -> "Language":
@@ -206,15 +231,42 @@ class Language:
     def horizon(self) -> int:
         return self._horizon
 
-    def words(self, n: int) -> tuple[Word, ...]:
-        """The words of length n, sorted."""
+    def _require_length(self, n: int) -> None:
         if n < 0:
             raise ConstructionError("word length must be non-negative")
-        if n == 0:
-            return (EPSILON,)
         if n > self._horizon:
             raise HorizonExceeded(f"length {n} beyond horizon {self._horizon}")
-        return tuple(sorted(self._by_length[n], key=Word.sort_key))
+
+    def words(self, n: int) -> tuple[Word, ...]:
+        """The words of length n, sorted (computed once per length)."""
+        self._require_length(n)
+        if n == 0:
+            return (EPSILON,)
+        cached = self._sorted.get(n)
+        if cached is None:
+            cached = tuple(sorted(self._by_length[n], key=Word.sort_key))
+            self._sorted[n] = cached
+        return cached
+
+    def count(self, n: int) -> int:
+        """Number of length-n words, p(n); n = 0 counts the empty word."""
+        self._require_length(n)
+        return len(self._by_length[n]) if n else 1
+
+    def truncate(self, horizon: int) -> "Language":
+        """The same language up to a horizon no larger than this one's,
+        sharing the stored sets and the sorted cache."""
+        if horizon < 1:
+            raise ConstructionError("horizon must be >= 1")
+        if horizon > self._horizon:
+            raise HorizonExceeded(f"horizon {horizon} beyond {self._horizon}")
+        if horizon == self._horizon:
+            return self
+        lang = object.__new__(Language)
+        lang._by_length = {n: self._by_length[n] for n in range(1, horizon + 1)}
+        lang._horizon = horizon
+        lang._sorted = self._sorted
+        return lang
 
     def __contains__(self, w: Word) -> bool:
         n = len(w)
@@ -233,11 +285,7 @@ class Language:
 
 def factor_complexity(lang: Language, n: int) -> int:
     """Number of length-n words; n = 0 counts the empty word."""
-    if n == 0:
-        return 1
-    if n > lang.horizon:
-        raise HorizonExceeded(f"length {n} beyond horizon {lang.horizon}")
-    return len(lang.words(n))
+    return lang.count(n)
 
 
 @dataclass(frozen=True)
@@ -266,7 +314,7 @@ class ClopenSet:
     cylinders with different defining words are automatically disjoint.
     """
 
-    __slots__ = ("_cylinders", "_past_len", "_future_len")
+    __slots__ = ("_cylinders", "_past_len", "_future_len", "_windows")
 
     def __init__(self, cylinders: Iterable[Cylinder]):
         cyls = tuple(sorted(set(cylinders), key=Cylinder.sort_key))
@@ -279,6 +327,7 @@ class ClopenSet:
         self._cylinders = cyls
         self._past_len = past_lens.pop()
         self._future_len = future_lens.pop()
+        self._windows = frozenset(c.past.letters + c.future.letters for c in cyls)
 
     @property
     def cylinders(self) -> tuple[Cylinder, ...]:
@@ -307,11 +356,7 @@ class ClopenSet:
             raise WordTooShort(
                 f"window [{lo},{hi}) outside text of length {len(text)}"
             )
-        seen = text[lo:hi]
-        for c in self._cylinders:
-            if seen == c.past.letters + c.future.letters:
-                return True
-        return False
+        return text[lo:hi] in self._windows
 
     def __repr__(self) -> str:
         return "ClopenSet(" + " u ".join(str(c) for c in self._cylinders) + ")"

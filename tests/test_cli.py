@@ -243,6 +243,22 @@ class TestReportContract:
         _, code = run(["odo", "self-induced"])  # no odometer given
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sub", "self-induce", "--file", "pd.sub", "--samples", "0"],
+            ["sub", "self-induce", "--file", "pd.sub", "--depth", "-3"],
+            ["sub", "language", "--file", "pd.sub", "--horizon", "0"],
+            ["gensub", "from-system", "--system", "2adic", "--resolution", "0"],
+            ["product", "verify", "--samples", "0"],
+        ],
+    )
+    def test_out_of_range_argument_exits_2(self, docs, argv):
+        argv = [docs.get(a, a) for a in argv]
+        payload, code = run(argv)
+        assert code == 2
+        assert payload == {"error": "usage"}
+
     def test_unknown_file_exits_2(self):
         _, code = run(["sub", "analyze", "--file", "/nonexistent.sub"])
         assert code == 2
@@ -261,6 +277,20 @@ class TestReportContract:
 
 
 class TestMoreCommands:
+    def test_odo_large_prime_cycle(self):
+        payload, code = run(["odo", "self-induced", "--cycle", "1000000000000000003"])
+        assert code == 0
+        assert payload["checks"][0]["witness"] == 1000000000000000003
+
+    def test_odo_factoring_budget_is_a_named_failure(self, monkeypatch):
+        from cantorsys import odometer
+
+        monkeypatch.setattr(odometer, "_RHO_BUDGET", 1000)
+        payload, code = run(["odo", "self-induced", "--cycle", str((10**9 + 7) * (10**9 + 9))])
+        assert code == 1
+        assert payload["checks"][0]["name"] == "precondition"
+        assert "budget" in payload["checks"][0]["witness"]
+
     def test_odo_factor(self):
         _, code = run(["odo", "factor", "--cycle", "3", "--cycle2", "6"])
         assert code == 0

@@ -3,13 +3,15 @@ digit arithmetic and the diagram-backed induction."""
 
 import pytest
 
-from cantorsys.errors import ConstructionError, IncoherentPoint
+from cantorsys import odometer
+from cantorsys.errors import ConstructionError, FactorisationUnknown, IncoherentPoint
 from cantorsys.odometer import (
     INFINITE,
     DyadicOdometerHandle,
     EventuallyPeriodic,
     OdometerPoint,
     ValuationProfile,
+    _factorise,
     add,
     add_one,
     canonical_prime_form,
@@ -27,6 +29,36 @@ def ep(prefix, cycle):
 
 
 ALL_PRIMES = ValuationProfile({}, infinitely_many_primes=True)
+
+
+def trial_division(n):
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+class TestFactorisation:
+    def test_agrees_with_trial_division(self):
+        for n in range(1, 10**4 + 1):
+            got = _factorise(n)
+            assert list(got.items()) == list(trial_division(n).items())
+
+    def test_large_factors(self):
+        assert _factorise((10**9 + 7) * (10**9 + 9)) == {10**9 + 7: 1, 10**9 + 9: 1}
+        assert _factorise((2**31 - 1) ** 2 * 12) == {2: 2, 3: 1, 2**31 - 1: 2}
+        assert _factorise(10**18 + 3) == {10**18 + 3: 1}
+
+    def test_budget_exhaustion_is_named(self, monkeypatch):
+        monkeypatch.setattr(odometer, "_RHO_BUDGET", 1000)
+        with pytest.raises(FactorisationUnknown):
+            _factorise((10**9 + 7) * (10**9 + 9))
 
 
 class TestValuationProfile:

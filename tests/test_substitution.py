@@ -9,8 +9,10 @@ expansion, frequencies against empirical counts.
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cantorsys.errors import (
+    ConstructionError,
     EmptyWord,
     HorizonTooSmall,
     NotPrimitive,
@@ -134,6 +136,38 @@ class TestLanguage:
     def test_not_primitive_rejected(self):
         with pytest.raises(NotPrimitive):
             language(chacon(), 3)
+
+    def test_truncations_match_fresh_builds(self):
+        s = tribonacci()
+        s.language_at(12)
+        for h in range(1, 12):
+            lang = s.language_at(h)
+            fresh = language(tribonacci(), h)
+            assert lang.horizon == h
+            for n in range(1, h + 1):
+                assert lang.words(n) == fresh.words(n)
+            assert s.language_at(h) is lang
+
+
+@st.composite
+def small_primitive_rules(draw):
+    letters = "abc"[: draw(st.integers(2, 3))]
+    image = st.lists(st.sampled_from(letters), min_size=1, max_size=3)
+    s = Substitution(Alphabet(list(letters)), {a: draw(image) for a in letters})
+    assume(is_primitive(s))
+    return s
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_primitive_rules(), st.integers(1, 6))
+def test_language_equals_factors_of_long_iterate(s, horizon):
+    lang = language(s, horizon)
+    text = (s.alphabet.letters[0],)
+    while len(text) < 3000:
+        text = s.apply_letters(text)
+    for n in range(1, horizon + 1):
+        factors = {text[i : i + n] for i in range(len(text) - n + 1)}
+        assert {u.letters for u in lang.words(n)} == factors
 
 
 class TestPeriodicity:
@@ -297,6 +331,11 @@ class TestSelfInduction:
     def test_chacon_rejected(self):
         with pytest.raises(NotPrimitive):
             verify_self_induced(chacon(), depth=10, samples=5)
+
+    @pytest.mark.parametrize("depth,samples", [(10, 0), (-3, 5)])
+    def test_vacuous_check_rejected(self, depth, samples):
+        with pytest.raises(ConstructionError):
+            verify_self_induced(period_doubling(), depth=depth, samples=samples)
 
     @pytest.mark.parametrize("s", [period_doubling(), thue_morse()])
     def test_square_certifies_iff_base_does(self, s):

@@ -79,6 +79,38 @@ class TestLanguage:
         with pytest.raises(ConstructionError):
             Language({1: {w("0")}, 2: {w("11")}}, 2)
 
+    @pytest.mark.parametrize(
+        "one_words,two_words,message",
+        [
+            (["0", "1"], ["00", "01"], "not extendable"),  # 1 starts no 2-word
+            (["0", "1"], ["00", "10"], "not extendable"),  # 1 ends no 2-word
+            (["0"], ["00", "01"], "not factor-closed"),  # the tail of 01 is missing
+        ],
+    )
+    def test_invariants_enforced_on_both_sides(self, one_words, two_words, message):
+        with pytest.raises(ConstructionError, match=message):
+            Language({1: set(map(w, one_words)), 2: set(map(w, two_words))}, 2)
+
+    def test_words_sorted_once(self, pd_language):
+        assert pd_language.words(5) is pd_language.words(5)
+
+    def test_count_is_complexity(self, pd_language):
+        for n in range(9):
+            assert pd_language.count(n) == len(pd_language.words(n))
+        with pytest.raises(HorizonExceeded):
+            pd_language.count(9)
+
+    def test_truncation_shares_storage(self, pd_language):
+        short = pd_language.truncate(4)
+        assert short.horizon == 4
+        assert pd_language.truncate(8) is pd_language
+        for n in range(1, 5):
+            assert short.words(n) is pd_language.words(n)
+        with pytest.raises(HorizonExceeded):
+            short.words(5)
+        with pytest.raises(HorizonExceeded):
+            short.truncate(5)
+
 
 class TestBlockCodes:
     def test_radius_zero_identity(self):
