@@ -13,9 +13,15 @@ Modules by object of study:
 Everything is horizon-bounded and exact: languages are stored up to a
 declared length, measures are rational whenever the Perron eigenvalue is,
 and every verification is an explicit finite check whose depth is reported.
+
+Importing the package loads only `errors` and `words`; every other module
+is loaded on first attribute access, so each command imports only its own
+group.
 """
 
-from . import bratteli, errors, gensub, odometer, product, substitution, words
+import importlib
+
+from . import errors, words
 from .words import (
     Alphabet,
     BlockCode,
@@ -29,6 +35,8 @@ from .words import (
     kblock_present,
     overlap_blocks,
 )
+
+_LAZY = ("bratteli", "gensub", "matrixutil", "odometer", "product", "substitution")
 
 __all__ = [
     "bratteli",
@@ -50,3 +58,9 @@ __all__ = [
     "kblock_present",
     "overlap_blocks",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

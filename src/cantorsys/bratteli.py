@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import matrixutil
 from .errors import (
@@ -30,7 +31,9 @@ from .errors import (
     SplitDoesNotCompose,
     ZeroMassClopen,
 )
-from .substitution import Substitution, is_primitive
+
+if TYPE_CHECKING:
+    from .substitution import Substitution
 
 
 @dataclass(frozen=True, order=True)
@@ -205,6 +208,8 @@ def from_substitution(s: Substitution, depth: int = 8) -> OrderedBratteliDiagram
     the edges into a letter are the positions of its image word (rank =
     position, source = the letter at that position); one root edge per
     letter."""
+    from .substitution import is_primitive
+
     if not is_primitive(s):
         raise NotPrimitive("stationary diagrams are built for primitive rules")
     letters = s.alphabet.letters

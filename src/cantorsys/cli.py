@@ -28,10 +28,13 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import bratteli, gensub, matrixutil, odometer, product, substitution
 from .errors import CantorSysError, DocumentError
 from .words import Alphabet, Word, factor_complexity
+
+if TYPE_CHECKING:
+    from . import bratteli, gensub, substitution
 
 DEFAULT_DEPTH = 12
 DEFAULT_HORIZON = 64
@@ -57,6 +60,8 @@ def _digest(payload) -> str:
 
 
 def parse_substitution(doc: dict) -> substitution.Substitution:
+    from . import substitution
+
     try:
         alphabet = Alphabet([str(a) for a in doc["alphabet"]])
         rules = {}
@@ -71,6 +76,8 @@ def parse_substitution(doc: dict) -> substitution.Substitution:
 
 
 def parse_odometer(doc: dict):
+    from . import odometer
+
     try:
         form = doc["form"]
         if form == "eventually-periodic":
@@ -92,6 +99,8 @@ def parse_odometer(doc: dict):
 
 
 def parse_diagram(doc: dict) -> bratteli.OrderedBratteliDiagram:
+    from . import bratteli
+
     try:
         return bratteli.OrderedBratteliDiagram.from_document(doc)
     except (KeyError, TypeError) as exc:
@@ -99,6 +108,8 @@ def parse_diagram(doc: dict) -> bratteli.OrderedBratteliDiagram:
 
 
 def parse_graph(doc: dict) -> bratteli.OrderedBipartiteGraph:
+    from . import bratteli
+
     try:
         return bratteli.OrderedBipartiteGraph(
             [int(v) for v in doc["left"]],
@@ -110,6 +121,8 @@ def parse_graph(doc: dict) -> bratteli.OrderedBipartiteGraph:
 
 
 def parse_gensub(doc: dict) -> gensub.GeneralizedSubstitution:
+    from . import gensub
+
     try:
         isolated = []
         root_node = doc["cells"]
@@ -165,11 +178,7 @@ def _odometer_from_args(args, suffix="") -> tuple:
     valuations = getattr(args, "valuations" + suffix, None)
     if cycle:
         prefix = getattr(args, "prefix" + suffix, None)
-        doc = {
-            "form": "eventually-periodic",
-            "prefix": [int(x) for x in prefix.split(",")] if prefix else [],
-            "cycle": [int(x) for x in cycle.split(",")],
-        }
+        doc = {"form": "eventually-periodic", "prefix": prefix or [], "cycle": cycle}
         return parse_odometer(doc), doc
     if valuations:
         vals = {}
@@ -185,21 +194,19 @@ def _odometer_from_args(args, suffix="") -> tuple:
     raise DocumentError("no odometer given (use --file, --cycle or --valuations)")
 
 
-def _parse_prefix_tokens(d: bratteli.OrderedBratteliDiagram, tokens: str) -> bratteli.PathPrefix:
-    """Tokens 'rank' (one-vertex levels) or 'target:rank', comma separated."""
+def _parse_prefix_tokens(d: bratteli.OrderedBratteliDiagram, tokens: list) -> bratteli.PathPrefix:
+    """Resolve (target or None, rank) tokens from `_path_tokens` to a prefix."""
+    from . import bratteli
+
     edges = []
     source = 0
-    for level, token in enumerate(tokens.split(","), start=1):
-        token = token.strip()
-        if ":" in token:
-            target_text, _, rank_text = token.partition(":")
-            target, rank = int(target_text), int(rank_text)
-        else:
+    for level, (target, rank) in enumerate(tokens, start=1):
+        if target is None:
             if d.vertex_counts[level] != 1:
                 raise DocumentError(
                     f"level {level} has several vertices; use target:rank tokens"
                 )
-            target, rank = 0, int(token)
+            target = 0
         matches = [
             e for e in d.edges(level) if e.target == target and e.rank == rank and e.source == source
         ]
@@ -210,8 +217,8 @@ def _parse_prefix_tokens(d: bratteli.OrderedBratteliDiagram, tokens: str) -> bra
     return bratteli.PathPrefix(d, tuple(edges))
 
 
-def _parse_paths(d: bratteli.OrderedBratteliDiagram, tokens: str) -> list:
-    return [_parse_prefix_tokens(d, item) for item in tokens.split(";")]
+def _parse_paths(d: bratteli.OrderedBratteliDiagram, paths: list) -> list:
+    return [_parse_prefix_tokens(d, tokens) for tokens in paths]
 
 
 # -- report helpers ---------------------------------------------------------------
@@ -275,6 +282,8 @@ def _emit_dot(d: bratteli.OrderedBratteliDiagram, path: str) -> None:
 
 
 def _cmd_sub(args, checks: Checks, payload: dict) -> None:
+    from . import substitution
+
     doc = _load_json(args.file)
     payload["inputs"] = {"digest": _digest(doc)}
     s = parse_substitution(doc)
@@ -358,6 +367,8 @@ def _cmd_sub(args, checks: Checks, payload: dict) -> None:
 
 
 def _cmd_odo(args, checks: Checks, payload: dict) -> None:
+    from . import odometer
+
     q, doc = _odometer_from_args(args)
     payload["inputs"] = {"digest": _digest(doc)}
     if args.odo_command == "self-induced":
@@ -413,6 +424,8 @@ def _cmd_odo(args, checks: Checks, payload: dict) -> None:
 
 
 def _cmd_bv(args, checks: Checks, payload: dict) -> None:
+    from . import bratteli, matrixutil
+
     doc = _load_json(args.file)
     payload["inputs"] = {"digest": _digest(doc)}
     d = parse_diagram(doc)
@@ -452,7 +465,7 @@ def _cmd_bv(args, checks: Checks, payload: dict) -> None:
                 new_key = image.order_key()
                 checks.add("successor-is-larger", new_key > old_key)
     elif args.bv_command == "contract":
-        cuts = tuple(int(c) for c in args.cuts.split(","))
+        cuts = args.cuts
         contracted = bratteli.contract(d, cuts)
         payload["diagram"] = contracted.to_document()
         checks.add("contracted", True, depth=len(cuts) - 1)
@@ -523,6 +536,8 @@ def _cmd_bv(args, checks: Checks, payload: dict) -> None:
 def _gensub_from_args(args) -> tuple:
     if getattr(args, "builtin", None):
         if args.builtin == "zero-successor":
+            from . import gensub
+
             g = gensub.zero_successor_substitution(args.resolution)
             return g, {"builtin": "zero-successor", "resolution": args.resolution}
         raise DocumentError(f"unknown builtin {args.builtin!r}")
@@ -541,8 +556,12 @@ def _find_cell(g: gensub.GeneralizedSubstitution, name: str, resolution: int) ->
 
 def _handle_from_args(args):
     if args.system == "2adic":
+        from . import odometer
+
         return odometer.DyadicOdometerHandle(depth=max(args.resolution + 8, 24))
     if args.system == "period-doubling":
+        from . import substitution
+
         return substitution.SubstitutionShiftHandle(
             substitution.period_doubling(), depth=max(16 * args.resolution, 48)
         )
@@ -550,6 +569,8 @@ def _handle_from_args(args):
 
 
 def _cmd_gensub(args, checks: Checks, payload: dict) -> None:
+    from . import gensub
+
     if args.gensub_command in ("from-system", "power-check"):
         payload["inputs"] = {"system": args.system, "resolution": args.resolution}
         handle = _handle_from_args(args)
@@ -626,6 +647,8 @@ def _cmd_gensub(args, checks: Checks, payload: dict) -> None:
 
 
 def _cmd_product(args, checks: Checks, payload: dict) -> None:
+    from . import product
+
     payload["inputs"] = {"system": "period-doubling x Z3"}
     if args.product_command == "verify":
         report = product.verify_product_selfinduced(args.depth, args.samples)
@@ -645,7 +668,7 @@ def _cmd_product(args, checks: Checks, payload: dict) -> None:
         checks.add("all-identities", report.passed, witness=list(report.failures) or None)
     elif args.product_command == "witness":
         if args.kind == "nonexpansive":
-            witness = product.nonexpansive_witness(Fraction(args.epsilon))
+            witness = product.nonexpansive_witness(args.epsilon)
             payload["bound"] = _fmt(witness.bound)
             checks.add(
                 "nonexpansive-witness",
@@ -667,9 +690,7 @@ def _cmd_product(args, checks: Checks, payload: dict) -> None:
                         break
                 checks.add("orbit-distance-constant", ok, depth=100)
         else:
-            outcome = product.nonequicontinuous_witness(
-                Fraction(args.delta), args.horizon
-            )
+            outcome = product.nonequicontinuous_witness(args.delta, args.horizon)
             if isinstance(outcome, product.NotFound):
                 payload["reason"] = outcome.reason
                 checks.add("nonequicontinuous-witness", False, witness=outcome.reason)
@@ -712,6 +733,39 @@ def _int_at_least(lower: int):
     return parse
 
 
+def _int_list(lower: int):
+    """argparse type: comma-separated integers, each >= lower."""
+    item = _int_at_least(lower)
+    return lambda text: [item(x) for x in text.split(",")]
+
+
+def _path_tokens(text: str) -> list:
+    """argparse type: a path prefix as comma-separated 'rank' (one-vertex
+    levels) or 'target:rank' tokens, read as (target or None, rank) pairs."""
+    index = _int_at_least(0)
+    tokens = []
+    for token in text.split(","):
+        target, colon, rank = token.partition(":")
+        tokens.append((index(target), index(rank)) if colon else (None, index(token)))
+    return tokens
+
+
+def _path_list(text: str) -> list:
+    """argparse type: semicolon-separated path prefixes."""
+    return [_path_tokens(item) for item in text.split(";")]
+
+
+def _positive_fraction(text: str) -> Fraction:
+    """argparse type: a positive fraction such as 1/81."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cantorsys",
@@ -740,16 +794,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("self-induced", "factor", "conjugate", "canon", "induce"):
         p = odo_sub.add_parser(name)
         p.add_argument("--file")
-        p.add_argument("--prefix")
-        p.add_argument("--cycle")
+        p.add_argument("--prefix", type=_int_list(2))
+        p.add_argument("--cycle", type=_int_list(2))
         p.add_argument("--valuations")
         p.add_argument("--infinite-support", dest="infinite_support", action="store_true")
         p.add_argument("--verify", action="store_true")
         p.add_argument("--emit-dot", dest="emit_dot")
         if name in ("factor", "conjugate"):
             p.add_argument("--file2")
-            p.add_argument("--prefix2")
-            p.add_argument("--cycle2")
+            p.add_argument("--prefix2", type=_int_list(2))
+            p.add_argument("--cycle2", type=_int_list(2))
             p.add_argument("--valuations2")
             p.add_argument(
                 "--infinite-support2", dest="infinite_support2", action="store_true"
@@ -778,11 +832,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "proper":
             p.add_argument("--depth", type=_int_at_least(0), default=DEFAULT_DEPTH)
         if name == "vershik":
-            p.add_argument("--prefix", required=True)
+            p.add_argument("--prefix", type=_path_tokens, required=True)
         if name == "contract":
-            p.add_argument("--cuts", required=True)
+            p.add_argument("--cuts", type=_int_list(0), required=True)
         if name in ("induce", "kac"):
-            p.add_argument("--paths", required=True)
+            p.add_argument("--paths", type=_path_list, required=True)
         if name == "embed":
             p.add_argument("--graph", required=True)
             p.add_argument("--level", type=int, default=1)
@@ -807,8 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resolution", type=_int_at_least(1), default=8)
         p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
         p.add_argument("--verify", action="store_true")
-        if name == "primitive":
-            pass
         if name == "language":
             p.add_argument("--base", required=True)
             p.add_argument("--length", type=int, default=2)
@@ -833,8 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
     p = prod_sub.add_parser("witness")
     p.add_argument("--kind", choices=("nonexpansive", "nonequicontinuous"), required=True)
-    p.add_argument("--epsilon", default="1/81")
-    p.add_argument("--delta", default="1/32")
+    p.add_argument("--epsilon", type=_positive_fraction, default="1/81")
+    p.add_argument("--delta", type=_positive_fraction, default="1/32")
     p.add_argument("--horizon", type=_int_at_least(1), default=16)
     p.add_argument("--verify", action="store_true")
 
@@ -869,7 +921,10 @@ def run(argv) -> tuple[dict, int]:
         payload["checks"] = checks.entries
         payload["exit"] = 1
         return payload, 1
-    except Exception as exc:  # pragma: no cover - internal errors
+    except Exception as exc:  # internal errors: report on stdout, trace on stderr
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
         payload["error"] = f"internal: {type(exc).__name__}: {exc}"
         payload["exit"] = 3
         return payload, 3

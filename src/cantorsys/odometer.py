@@ -13,9 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from . import bratteli
 from .errors import (
     ConstructionError,
     FactorisationUnknown,
@@ -23,6 +22,9 @@ from .errors import (
     NotEventuallyPeriodic,
 )
 from .words import SystemHandle
+
+if TYPE_CHECKING:
+    from . import bratteli
 
 INFINITE = math.inf
 
@@ -350,6 +352,8 @@ def canonical_prime_form(q: EventuallyPeriodic) -> EventuallyPeriodic:
 
 def to_diagram(q: EventuallyPeriodic, depth: int) -> bratteli.OrderedBratteliDiagram:
     """The one-vertex diagram with q_n edges at level n."""
+    from . import bratteli
+
     if not isinstance(q, EventuallyPeriodic):
         raise NotEventuallyPeriodic("diagrams need an explicit sequence")
     return bratteli.one_vertex_diagram([q.term(n) for n in range(1, depth + 1)])
@@ -359,6 +363,8 @@ def induce_via_diagram(q: EventuallyPeriodic) -> EventuallyPeriodic:
     """Induce on a single level-1 edge cylinder through the diagram: the
     induced diagram keeps one first-level edge, contracting away the trivial
     level leaves the shifted characteristic sequence."""
+    from . import bratteli
+
     if not isinstance(q, EventuallyPeriodic):
         raise NotEventuallyPeriodic("diagram induction needs an explicit sequence")
     depth = len(q.prefix) + len(q.cycle) + 2

@@ -93,6 +93,10 @@ def verify_product_selfinduced(depth: int, samples: int) -> ProductReport:
     """The three exact identities behind the self-induction of the product:
     sigma intertwines S with S^2, doubling intertwines +1 with +2, and the
     return time to sigma(X) x Z_3 is the constant 2."""
+    if samples < 1:
+        raise ConstructionError("self-induction check needs at least one sample")
+    if depth < 0:
+        raise ConstructionError("self-induction check needs a non-negative depth")
     s = period_doubling()
     radius = recognizability_radius(s, 8)
     clopen = image_clopen(s, radius)

@@ -295,11 +295,6 @@ class Cylinder:
     past: Word
     future: Word
 
-    def __post_init__(self):
-        if len(self.past) == 0 and len(self.future) == 0:
-            # the whole space; legal but never a proper clopen set
-            pass
-
     def sort_key(self) -> tuple:
         return (self.past.sort_key(), self.future.sort_key())
 

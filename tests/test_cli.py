@@ -2,9 +2,14 @@
 exit codes, and the per-command verify oracles."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cantorsys
+from cantorsys import cli
 from cantorsys.cli import main, run
 
 PD_DOC = {"alphabet": ["0", "1"], "rules": {"0": "01", "1": "00"}}
@@ -251,6 +256,18 @@ class TestReportContract:
             ["sub", "language", "--file", "pd.sub", "--horizon", "0"],
             ["gensub", "from-system", "--system", "2adic", "--resolution", "0"],
             ["product", "verify", "--samples", "0"],
+            ["odo", "self-induced", "--cycle", "abc"],
+            ["odo", "self-induced", "--cycle", "2,,3"],
+            ["odo", "self-induced", "--cycle", "0"],
+            ["odo", "self-induced", "--prefix", "1", "--cycle", "2"],
+            ["odo", "factor", "--cycle", "2", "--cycle2", "zz"],
+            ["bv", "vershik", "--file", "base2.bv", "--prefix", "x"],
+            ["bv", "vershik", "--file", "base2.bv", "--prefix", "0:x"],
+            ["bv", "kac", "--file", "base2.bv", "--paths", "0;"],
+            ["bv", "contract", "--file", "base2.bv", "--cuts", "x"],
+            ["product", "witness", "--kind", "nonexpansive", "--epsilon", "abc"],
+            ["product", "witness", "--kind", "nonexpansive", "--epsilon", "0"],
+            ["product", "witness", "--kind", "nonequicontinuous", "--delta", "1/0"],
         ],
     )
     def test_out_of_range_argument_exits_2(self, docs, argv):
@@ -269,6 +286,22 @@ class TestReportContract:
         )
         assert code == 1
         assert payload["checks"][0]["name"] == "precondition"
+
+    def test_internal_error_exits_3_with_traceback_on_stderr(self, monkeypatch, capsys):
+        def broken(args, checks, payload):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.HANDLERS, "odo", broken)
+        code = main(["odo", "self-induced", "--cycle", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out) == {
+            "command": ["odo", "self-induced", "--cycle", "2"],
+            "error": "internal: RuntimeError: boom",
+            "exit": 3,
+        }
+        assert "Traceback (most recent call last)" in captured.err
+        assert "RuntimeError: boom" in captured.err
 
     def test_exit_zero_iff_all_pass(self, docs):
         payload, code = run(["bv", "simple", "--file", docs["base2.bv"], "--window", "1"])
@@ -428,3 +461,56 @@ class TestValuationDocuments:
         names = {c["name"]: c["status"] for c in payload["checks"]}
         assert names["primitive"] == "pass"
         assert names["aperiodic"] == "fail"
+
+
+def _fresh_python(code: str, *argv: str) -> str:
+    """Stdout of `code` run in a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cantorsys.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+LOADED_BY_MAIN = """
+import contextlib, io, json, sys
+import cantorsys.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cantorsys.cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "cantorsys")))
+"""
+
+
+class TestColdImports:
+    """Each command loads only the modules of its own group."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["odo", "self-induced", "--cycle", "2"], {"odometer"}),
+            (["sub", "language", "--horizon", "0"], set()),
+            (["odo", "self-induced", "--cycle", "abc"], set()),
+            (["gensub", "fixedpoint", "--builtin", "zero-successor",
+              "--resolution", "3", "--left", "0", "--right", "1"], {"gensub"}),
+        ],
+    )
+    def test_command_loads_only_its_group(self, argv, loaded):
+        modules = json.loads(_fresh_python(LOADED_BY_MAIN, *argv))
+        base = {"cantorsys", "cantorsys.cli", "cantorsys.errors", "cantorsys.words"}
+        assert set(modules) == base | {f"cantorsys.{m}" for m in loaded}
+
+    def test_package_attributes_load_on_first_use(self):
+        out = _fresh_python(
+            "import sys, cantorsys\n"
+            "print('cantorsys.substitution' in sys.modules)\n"
+            "print(cantorsys.substitution.period_doubling().image('0'))\n"
+            "print(cantorsys.matrixutil.__name__)\n"
+            "from cantorsys import *\n"
+            "print(all(name in globals() for name in cantorsys.__all__))\n"
+        )
+        assert out.split() == ["False", "01", "cantorsys.matrixutil", "True"]
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            cantorsys.no_such_module

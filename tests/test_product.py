@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cantorsys.errors import WindowExhausted
+from cantorsys.errors import ConstructionError, WindowExhausted
 from cantorsys.product import (
     NonequicontinuousWitness,
     NotFound,
@@ -123,3 +123,10 @@ class TestNonequicontinuous:
     def test_horizon_zero(self):
         outcome = nonequicontinuous_witness(Fraction(1, 32), horizon=0)
         assert isinstance(outcome, NotFound)
+
+
+class TestVerifyArguments:
+    @pytest.mark.parametrize("depth, samples", [(8, 0), (8, -1), (-1, 10)])
+    def test_vacuous_check_is_refused(self, depth, samples):
+        with pytest.raises(ConstructionError):
+            verify_product_selfinduced(depth, samples)
