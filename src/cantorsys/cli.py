@@ -783,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=_int_at_least(1), default=DEFAULT_HORIZON)
         p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
         if name == "language":
-            p.add_argument("--length", type=int, default=0)
+            p.add_argument("--length", type=_int_at_least(0), default=0)
         if name == "derive":
             p.add_argument("--letter", required=True)
         if name == "self-induce":
@@ -828,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verify", action="store_true")
         p.add_argument("--emit-dot", dest="emit_dot")
         if name == "simple":
-            p.add_argument("--window", type=int, default=1)
+            p.add_argument("--window", type=_int_at_least(1), default=1)
         if name == "proper":
             p.add_argument("--depth", type=_int_at_least(0), default=DEFAULT_DEPTH)
         if name == "vershik":
@@ -839,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--paths", type=_path_list, required=True)
         if name == "embed":
             p.add_argument("--graph", required=True)
-            p.add_argument("--level", type=int, default=1)
+            p.add_argument("--level", type=_int_at_least(0), default=1)
         if name == "poincare":
             p.add_argument("--source", required=True)
             p.add_argument("--depth", type=_int_at_least(0), default=3)
@@ -863,18 +863,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verify", action="store_true")
         if name == "language":
             p.add_argument("--base", required=True)
-            p.add_argument("--length", type=int, default=2)
+            p.add_argument("--length", type=_int_at_least(1), default=2)
         if name == "fixedpoint":
             p.add_argument("--left", required=True)
             p.add_argument("--right", required=True)
-            p.add_argument("--radius", type=int, default=8)
+            p.add_argument("--radius", type=_int_at_least(1), default=8)
         if name == "decompose":
             p.add_argument("--cells", required=True)
             p.add_argument("--origin", type=int, required=True)
         if name in ("from-system", "power-check"):
             p.add_argument("--system", required=True)
         if name == "power-check":
-            p.add_argument("--power", type=int, default=3)
+            p.add_argument("--power", type=_int_at_least(1), default=3)
             p.add_argument("--samples", type=_int_at_least(1), default=8)
 
     prod = top.add_parser("product", help="the subshift x odometer example")

@@ -10,6 +10,10 @@ earlier answer.
 Cellwise computation is exact: once the continuity checks pass, the cell of
 the j-th image letter is constant on each cell, so iterated images of cells
 are the true cell traces of iterated images of points.
+
+Recognizability decompositions tile a cell window with `words.tilings`, the
+same search that serves finite substitutions (a finite alphabet is the
+discrete case, `discrete_substitution`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     OverlapViolation,
     SeedNotLegal,
 )
-from .words import SystemHandle
+from .words import SystemHandle, tilings
 
 
 @dataclass(frozen=True, order=True)
@@ -458,6 +462,8 @@ def omega_fixed_point(
     [-radius, radius) cell window recurs; the recurring window belongs to the
     omega-limit of the seed.  Runs at the substitution's full resolution
     unless a coarser one is requested."""
+    if radius < 1:
+        raise ConstructionError("omega window radius must be >= 1")
     if resolution is None:
         resolution = g.max_resolution
     frontier = g.space.frontier(resolution)
@@ -513,45 +519,6 @@ class Inconclusive:
     reason: str
 
 
-def _cell_tilings(g: GeneralizedSubstitution, window: CellWord, resolution: int):
-    """All decompositions of the window into sigma-images of cells, with
-    partial blocks at the edges; signature = (cuts, interior preimage).
-    Iterative depth-first search, so window length is unbounded."""
-    n = len(window)
-    frontier = g.space.frontier(resolution)
-    images = {a: g.image(a, resolution) for a in frontier}
-    results = []
-
-    def extend_all(start_cuts: tuple[int, ...]) -> None:
-        stack = [(start_cuts[-1], start_cuts, ())]
-        while stack:
-            pos, cuts, interior = stack.pop()
-            if pos == n:
-                results.append((cuts, interior, None))
-                continue
-            for a, img in images.items():
-                size = len(img)
-                if pos + size <= n:
-                    if img == window[pos : pos + size]:
-                        stack.append(
-                            (pos + size, cuts + (pos + size,), interior + (a,))
-                        )
-                elif img[: n - pos] == window[pos:]:
-                    results.append((cuts, interior, a))
-
-    for a, img in images.items():
-        for u in range(1, len(img)):
-            if u + n < len(img) and img[u : u + n] == window:
-                results.append(((), (), a))
-    extend_all((0,))
-    for a, img in images.items():
-        for u in range(1, len(img)):
-            c = len(img) - u
-            if c <= n and img[u:] == window[:c]:
-                extend_all((c,))
-    return results
-
-
 def recognizability_decompose(
     g: GeneralizedSubstitution, word: TwoSidedCellWord
 ):
@@ -567,8 +534,8 @@ def recognizability_decompose(
     if not cells:
         return Inconclusive("empty window")
     resolution = max(c.level for c in cells)
-    tilings = _cell_tilings(g, cells, resolution)
-    with_blocks = [(cuts, interior) for cuts, interior, _ in tilings if interior]
+    images = {a: g.image(a, resolution) for a in g.space.frontier(resolution)}
+    with_blocks = [(t.cuts, t.interior) for t in tilings(images, cells) if t.interior]
     if not with_blocks:
         return Inconclusive("window shorter than every image block")
     signatures = sorted(set(with_blocks))

@@ -5,10 +5,13 @@ frequencies, language generation, return words, derived substitutions and a
 constructive check that the subshift is conjugate to its induced system on
 the image of the substitution.
 
-The recognizability machinery works by exhaustive tiling: a finite window is
-decomposed in every possible way into images of letters (with partial images
-allowed at both ends), keeping only decompositions whose read-off preimage
-word lies in the language.  Everything downstream of that enumeration is
+The recognizability machinery works by exhaustive tiling (`words.tilings`,
+the search generalized substitutions use too): a finite window is decomposed
+in every possible way into images of letters (with partial images allowed at
+both ends), keeping only decompositions whose read-off preimage word lies in
+the language.  The image clopen sigma^k(X) is built once per power from the
+tilings of every (2R+1)-word at the recognizability radius R, and membership
+of a point is read from it.  Everything downstream of that enumeration is
 exact.
 """
 
@@ -37,8 +40,10 @@ from .words import (
     Language,
     Letter,
     SystemHandle,
+    Tiling,
     Word,
     letter_key,
+    tilings,
 )
 
 
@@ -444,100 +449,19 @@ def clopen_measure(s: Substitution, clopen: ClopenSet) -> Fraction:
 # -- tilings and recognizability ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tiling:
-    """One decomposition of a window into images of letters.
-
-    `cuts` lists every block boundary inside [0, len(window)]; a missing 0
-    (resp. missing end position) means the border block straddles that edge.
-    `interior` are the letters of the complete blocks, `left`/`right` the
-    letters of the straddling blocks (equal for a single straddling block).
-    """
-
-    cuts: tuple[int, ...]
-    interior: tuple
-    left: Letter | None
-    left_offset: int
-    right: Letter | None
-
-    def has_cut(self, position: int) -> bool:
-        return position in self.cuts
-
-    def preimage_letters(self) -> tuple:
-        out = []
-        if self.left is not None:
-            out.append(self.left)
-        out.extend(self.interior)
-        if self.right is not None and not (self.left is not None and not self.cuts):
-            out.append(self.right)
-        return tuple(out)
-
-
 def image_tilings(
     s: Substitution, window: tuple, require_language: bool = True
 ) -> tuple[Tiling, ...]:
     """All decompositions of the window into sigma-images, partial at the
-    edges, whose preimage letter word belongs to the language."""
-    n = len(window)
-    if n == 0:
-        raise ConstructionError("cannot tile an empty window")
-    images = {a: s.image_letters(a) for a in s.alphabet}
-    lang = s.language_at(n + 2) if require_language else None
-    results: list[Tiling] = []
-
-    def record(cuts: tuple[int, ...], interior: tuple, left, left_offset: int, right) -> None:
-        tiling = Tiling(cuts, interior, left, left_offset, right)
-        if require_language:
-            pre = tiling.preimage_letters()
-            if pre and Word(pre) not in lang:
-                return
-        results.append(tiling)
-
-    def extend(pos: int, cuts: list[int], interior: list, left, left_offset: int) -> None:
-        """Continue a tiling whose last cut is at `pos`."""
-        if pos == n:
-            record(tuple(cuts), tuple(interior), left, left_offset, None)
-            return
-        for a, img in images.items():
-            size = len(img)
-            if pos + size <= n:
-                if img == window[pos : pos + size]:
-                    cuts.append(pos + size)
-                    interior.append(a)
-                    extend(pos + size, cuts, interior, left, left_offset)
-                    interior.pop()
-                    cuts.pop()
-            else:
-                if img[: n - pos] == window[pos:]:
-                    record(tuple(cuts), tuple(interior), left, left_offset, a)
-
-    # window strictly inside one image: no cuts at all
-    for a, img in images.items():
-        for u in range(1, len(img)):
-            if u + n < len(img) and img[u : u + n] == window:
-                record((), (), a, u, a)
-
-    # left edge at a cut
-    extend(0, [0], [], None, 0)
-
-    # left edge inside an image whose remainder ends at a cut c <= n
-    for a, img in images.items():
-        for u in range(1, len(img)):
-            c = len(img) - u
-            if c <= n and img[u:] == window[:c]:
-                extend(c, [c], [], a, u)
-
-    seen = set()
-    unique = []
-    for t in results:
-        key = (t.cuts, t.interior, t.left, t.left_offset, t.right)
-        if key not in seen:
-            seen.add(key)
-            unique.append(t)
-    unique.sort(
+    edges, whose preimage letter word belongs to the language, sorted."""
+    found = tilings(s._images, window)
+    if require_language:
+        lang = s.language_at(len(window) + 2)
+        found = [t for t in found if Word(t.preimage_letters()) in lang]
+    found.sort(
         key=lambda t: (t.cuts, tuple(map(str, t.interior)), str(t.left), t.left_offset, str(t.right))
     )
-    return tuple(unique)
+    return tuple(found)
 
 
 def cut_statuses(s: Substitution, window: tuple, position: int) -> set[bool]:
@@ -854,26 +778,6 @@ def verify_self_induced(
     )
 
 
-def two_sided_orbit_window(
-    s: Substitution, b: Letter, c: Letter, radius: int, max_iters: int = 64
-) -> tuple[tuple, tuple, int, int]:
-    """Window [-radius, radius) of the omega-limit of ...b.c... under the
-    two-sided extension; returns (left, right, settle_iteration, period)."""
-    keep = radius * s.max_image_length() + radius + 4
-    left = (b,)
-    right = (c,)
-    seen: dict[tuple, int] = {}
-    for it in range(1, max_iters + 1):
-        left = s.apply_letters(left)[-keep:]
-        right = s.apply_letters(right)[:keep]
-        window = (left[-radius:], right[:radius])
-        if len(window[0]) == radius and len(window[1]) == radius:
-            if window in seen:
-                return window[0], window[1], it, it - seen[window]
-            seen[window] = it
-    raise ConstructionError(f"no recurring window within {max_iters} iterations")
-
-
 # -- a substitution subshift as a SystemHandle ------------------------------
 
 
@@ -888,8 +792,9 @@ class ShiftPoint:
 class SubstitutionShiftHandle(SystemHandle):
     """(X_sigma, S) with target U = sigma(X_sigma) and phi = sigma.
 
-    Points are windows into iterated images; every membership question is
-    answered by the exhaustive tiling test at the recognizability radius.
+    Points are windows into iterated images.  Membership of sigma^k(X) is
+    read from its image clopen, built once per power by exhaustive tiling of
+    every (2R+1)-word at the power's recognizability radius R.
     """
 
     def __init__(self, s: Substitution, depth: int = 64, radius_bound: int = 8):
@@ -902,7 +807,7 @@ class SubstitutionShiftHandle(SystemHandle):
         self.name = f"shift({s!r})"
         self._margin = depth + radius + s.max_image_length() + 2
         self._text = _long_text(s, 8 * self._margin)
-        self._power_radii: dict[int, int] = {1: radius}
+        self._clopens: dict[int, ClopenSet] = {}
 
     @property
     def substitution(self) -> Substitution:
@@ -930,21 +835,23 @@ class SubstitutionShiftHandle(SystemHandle):
         return ShiftPoint(self._s.apply_letters(point.text), new_origin)
 
     def in_iterated_image(self, point: ShiftPoint, power: int) -> bool:
-        sk = self._s.power(power) if power > 1 else self._s
-        if power not in self._power_radii:
+        clopen = self._clopens.get(power)
+        if clopen is None:
+            sk = self._s.power(power)
             bound = 4 * sk.max_image_length()
-            rad = recognizability_radius(sk, bound)
+            rad = self._radius if power == 1 else recognizability_radius(sk, bound)
             if rad is None:
                 raise RecognizabilityUnknown(f"power {power} not recognizable within {bound}")
-            self._power_radii[power] = rad
-        rad = self._power_radii[power]
+            clopen = self._clopens[power] = image_clopen(sk, rad)
+        rad = clopen.past_length
         lo, hi = point.origin - rad, point.origin + rad + 1
         if lo < 0 or hi > len(point.text):
             raise WindowExhausted("window too short for a membership test")
-        statuses = cut_statuses(sk, point.text[lo:hi], rad)
-        if len(statuses) != 1:
-            raise ConstructionError("ambiguous membership inside the recognizability radius")
-        return statuses.pop()
+        if clopen.contains_at(point.text, point.origin):
+            return True
+        if Word(point.text[lo:hi]) not in self._s.language_at(hi - lo):
+            raise ConstructionError("membership window is not a word of the language")
+        return False
 
     def cells(self, resolution: int) -> tuple:
         lang = self._s.language_at(2 * resolution)

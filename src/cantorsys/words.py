@@ -1,4 +1,5 @@
-"""Alphabets, finite words, horizon-bounded languages, cylinders and block codes.
+"""Alphabets, finite words, horizon-bounded languages, cylinders, block codes
+and tilings of windows by letter images.
 
 A subshift is never materialised: all reasoning happens on its language
 stored explicitly up to a horizon, and every answer derived from it is only
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     ConstructionError,
@@ -430,6 +431,72 @@ def kblock_present(lang: Language, k: int) -> tuple[Alphabet, Language, tuple[Bl
     backward_table = {Word((b,)): b[0] for b in blocks}
     backward = BlockCode(radius=0, table=backward_table, target=base_alphabet)
     return block_alphabet, recoded, (forward, backward)
+
+
+class Tiling(NamedTuple):
+    """One decomposition of a window into images of letters.
+
+    `cuts` lists every block boundary inside [0, len(window)]; a missing 0
+    (resp. missing end position) means the border block straddles that edge.
+    `interior` are the letters of the complete blocks, `left`/`right` the
+    letters of the straddling blocks (equal for a single straddling block).
+    """
+
+    cuts: tuple[int, ...]
+    interior: tuple
+    left: Letter | None
+    left_offset: int
+    right: Letter | None
+
+    def has_cut(self, position: int) -> bool:
+        return position in self.cuts
+
+    def preimage_letters(self) -> tuple:
+        out = []
+        if self.left is not None:
+            out.append(self.left)
+        out.extend(self.interior)
+        if self.right is not None and not (self.left is not None and not self.cuts):
+            out.append(self.right)
+        return tuple(out)
+
+
+def tilings(images: Mapping[Letter, tuple], window: tuple) -> list[Tiling]:
+    """Every decomposition of the window into the given letter images, with
+    partial images allowed at both edges, each listed once.
+
+    The left edge either lies strictly inside one image that also covers the
+    right edge (no cuts), or at a cut, or inside an image whose remainder
+    ends at the first cut; complete blocks then follow until the window ends
+    at a cut or inside a last image.  Iterative depth-first search, so the
+    window length is unbounded."""
+    n = len(window)
+    if n == 0:
+        raise ConstructionError("cannot tile an empty window")
+    found: list[Tiling] = []
+    stack: list[tuple] = [((0,), (), None, 0)]
+    for a, img in images.items():
+        for u in range(1, len(img)):
+            c = len(img) - u
+            if c > n:
+                if img[u : u + n] == window:
+                    found.append(Tiling((), (), a, u, a))
+            elif img[u:] == window[:c]:
+                stack.append(((c,), (), a, u))
+    while stack:
+        cuts, interior, left, left_offset = stack.pop()
+        pos = cuts[-1]
+        if pos == n:
+            found.append(Tiling(cuts, interior, left, left_offset, None))
+            continue
+        for a, img in images.items():
+            end = pos + len(img)
+            if end <= n:
+                if img == window[pos:end]:
+                    stack.append((cuts + (end,), interior + (a,), left, left_offset))
+            elif img[: n - pos] == window[pos:]:
+                found.append(Tiling(cuts, interior, left, left_offset, a))
+    return found
 
 
 class SystemHandle(ABC):

@@ -268,6 +268,15 @@ class TestReportContract:
             ["product", "witness", "--kind", "nonexpansive", "--epsilon", "abc"],
             ["product", "witness", "--kind", "nonexpansive", "--epsilon", "0"],
             ["product", "witness", "--kind", "nonequicontinuous", "--delta", "1/0"],
+            ["gensub", "power-check", "--system", "2adic", "--power", "0"],
+            ["bv", "simple", "--file", "base2.bv", "--window", "0"],
+            ["bv", "embed", "--file", "base2.bv", "--graph", "pair.graph", "--level", "-1"],
+            ["gensub", "fixedpoint", "--builtin", "zero-successor", "--left", "0",
+             "--right", "1", "--radius", "-1"],
+            ["gensub", "fixedpoint", "--builtin", "zero-successor", "--left", "0",
+             "--right", "1", "--radius", "0"],
+            ["sub", "language", "--file", "pd.sub", "--length", "-1"],
+            ["gensub", "language", "--builtin", "zero-successor", "--base", "0", "--length", "0"],
         ],
     )
     def test_out_of_range_argument_exits_2(self, docs, argv):
@@ -493,6 +502,8 @@ class TestColdImports:
             (["odo", "self-induced", "--cycle", "abc"], set()),
             (["gensub", "fixedpoint", "--builtin", "zero-successor",
               "--resolution", "3", "--left", "0", "--right", "1"], {"gensub"}),
+            (["gensub", "decompose", "--builtin", "zero-successor",
+              "--resolution", "4", "--cells", "0,1,0,2,0,1", "--origin", "2"], {"gensub"}),
         ],
     )
     def test_command_loads_only_its_group(self, argv, loaded):

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from cantorsys.errors import OverlapViolation, SeedNotLegal
+from cantorsys.errors import ConstructionError, OverlapViolation, SeedNotLegal
 from cantorsys.gensub import (
     Decomposition,
     GeneralizedSubstitution,
@@ -29,7 +29,7 @@ from cantorsys.gensub import (
     zero_successor_substitution,
 )
 from cantorsys.odometer import DyadicOdometerHandle
-from cantorsys.substitution import SubstitutionShiftHandle, language as sub_language, period_doubling
+from cantorsys.substitution import SubstitutionShiftHandle, iterate, language as sub_language, period_doubling
 from cantorsys.words import Word
 
 INF = math.inf
@@ -228,12 +228,22 @@ class TestOmegaFixedPoint:
         assert zero.name == "0"
         result = omega_fixed_point(g, zero, zero, radius=8)
         assert result.period == 2  # sigma^2-fixed two-sided extension
-        from cantorsys.substitution import two_sided_orbit_window
-
-        left, right, _, period = two_sided_orbit_window(period_doubling(), "0", "0", 8)
-        assert period == 2
-        assert tuple(c.name for c in result.window.left()) == left
+        assert result.iterations == 5
+        left = tuple(c.name for c in result.window.left())
+        # the window recurs at iteration 5: its left half ends every odd
+        # iterate of 0 from the third on, and no even one (those end in 0)
+        assert left == iterate(period_doubling(), Word(("0",)), 5).letters[-8:]
+        assert left == iterate(period_doubling(), Word(("0",)), 7).letters[-8:]
+        assert left != iterate(period_doubling(), Word(("0",)), 6).letters[-8:]
+        right = iterate(period_doubling(), Word(("0",)), 4).letters[:8]
         assert tuple(c.name for c in result.window.right()) == right
+
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_radius_below_one_rejected(self, xi8, radius):
+        zero = xi_cell(xi8.space, 8, 0)
+        one = xi_cell(xi8.space, 8, 1)
+        with pytest.raises(ConstructionError):
+            omega_fixed_point(xi8, zero, one, radius=radius)
 
     def test_illegal_seed(self, xi8):
         space = xi8.space

@@ -18,12 +18,15 @@ from cantorsys.errors import (
     NotPrimitive,
     Periodic,
 )
+from cantorsys.gensub import discrete_space, discrete_substitution, omega_fixed_point
 from cantorsys.substitution import (
+    ShiftPoint,
     SubstitutionShiftHandle,
     Substitution,
     chacon,
     clopen_measure,
     composition_matrix,
+    cut_statuses,
     derive,
     fibonacci,
     frequencies,
@@ -38,7 +41,6 @@ from cantorsys.substitution import (
     recognizability_radius,
     return_words,
     thue_morse,
-    two_sided_orbit_window,
     verify_self_induced,
     word_frequencies,
 )
@@ -360,12 +362,32 @@ class TestShiftHandle:
                 point.text, point.origin
             )
             point = handle.step(point)
+        for power in (1, 2, 3):
+            sk = s.power(power)
+            rad = recognizability_radius(sk, 4 * sk.max_image_length())
+            for u in s.language_at(2 * rad + 1).words(2 * rad + 1):
+                statuses = cut_statuses(sk, u.letters, rad)
+                assert len(statuses) == 1
+                assert handle.in_iterated_image(ShiftPoint(u.letters, rad), power) in statuses
+
+    def test_membership_outside_language_rejected(self):
+        handle = SubstitutionShiftHandle(period_doubling(), depth=32)
+        radius = recognizability_radius(period_doubling(), 8)
+        window = tuple("1" * (2 * radius + 1))  # 11 is not a factor
+        with pytest.raises(ConstructionError):
+            handle.in_iterated_image(ShiftPoint(window, radius), 1)
 
     def test_two_sided_window_recurrence(self):
-        left, right, _, period = two_sided_orbit_window(period_doubling(), "0", "0", 8)
-        assert period == 2
+        g = discrete_substitution(discrete_space(["0", "1"]), {"0": "01", "1": "00"})
+        zero = g.space.frontier(1)[0]
+        result = omega_fixed_point(g, zero, zero, radius=8)
+        left = tuple(c.name for c in result.window.left())
+        right = tuple(c.name for c in result.window.right())
+        assert result.period == 2
         # right side is the one-sided fixed point
         assert right == tuple(iterate(period_doubling(), w("0"), 4).letters[:8])
+        # left side ends the iterate of 0 the window recurred at
+        assert left == iterate(period_doubling(), w("0"), result.iterations).letters[-8:]
 
 
 def tribonacci():

@@ -1,6 +1,7 @@
-"""Words, languages, cylinders and block codes."""
+"""Words, languages, cylinders, block codes and tilings."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorsys.errors import ConstructionError, HorizonExceeded, WordTooShort
 from cantorsys.substitution import language, period_doubling
@@ -15,6 +16,7 @@ from cantorsys.words import (
     apply_block_code,
     factor_complexity,
     kblock_present,
+    tilings,
 )
 
 
@@ -192,3 +194,67 @@ class TestClopenSets:
         u = ClopenSet([Cylinder(w("0"), w("1"))])
         with pytest.raises(WordTooShort):
             u.contains_at(tuple("01"), 0)
+
+
+@st.composite
+def rule_and_window(draw):
+    """A rule on 1-3 letters with images of length 1-3, and a window of
+    length 1-12 cut from an iterate of its first letter."""
+    letters = "abc"[: draw(st.integers(1, 3))]
+    image = st.lists(st.sampled_from(letters), min_size=1, max_size=3).map(tuple)
+    images = {a: draw(image) for a in letters}
+    text = (letters[0],)
+    for _ in range(12):
+        if len(text) >= 64:
+            break
+        text = tuple(x for a in text for x in images[a])
+    n = draw(st.integers(1, min(12, len(text))))
+    start = draw(st.integers(0, len(text) - n))
+    return images, text[start : start + n]
+
+
+def placements(images, window):
+    """Oracle: every block placement covering the window, as (cuts, interior,
+    left, left_offset, right).  The window starts at each offset u inside a
+    first block, then every sequence of blocks follows until the window is
+    covered; a branch stops as soon as its letters disagree with the window."""
+    n = len(window)
+    found = []
+
+    def grow(blocks, spelled, u):
+        if any(spelled[u + i] != window[i] for i in range(min(n, len(spelled) - u))):
+            return
+        if len(spelled) - u < n:
+            for a, img in images.items():
+                grow(blocks + [a], spelled + img, u)
+            return
+        bounds = [-u]
+        for a in blocks:
+            bounds.append(bounds[-1] + len(images[a]))
+        found.append((
+            tuple(b for b in bounds if 0 <= b <= n),
+            tuple(a for a, lo, hi in zip(blocks, bounds, bounds[1:]) if lo >= 0 and hi <= n),
+            blocks[0] if u else None,
+            u,
+            blocks[-1] if bounds[-1] > n else None,
+        ))
+
+    for a, img in images.items():
+        for u in range(len(img)):
+            grow([a], img, u)
+    return found
+
+
+class TestTilings:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rule_and_window())
+    def test_matches_every_block_placement(self, case):
+        images, window = case
+        result = tilings(images, window)
+        assert len(set(result)) == len(result)
+        got = {(t.cuts, t.interior, t.left, t.left_offset, t.right) for t in result}
+        assert got == set(placements(images, window))
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ConstructionError):
+            tilings({"a": ("a", "b"), "b": ("a",)}, ())
