@@ -652,20 +652,11 @@ def _cmd_product(args, checks: Checks, payload: dict) -> None:
     payload["inputs"] = {"system": "period-doubling x Z3"}
     if args.product_command == "verify":
         report = product.verify_product_selfinduced(args.depth, args.samples)
-        checks.add(
-            "commutation",
-            all("sigma" not in f for f in report.failures),
-            depth=args.depth,
-        )
-        checks.add(
-            "doubling",
-            all("doubling" not in f for f in report.failures),
-        )
-        checks.add(
-            "return-time-two",
-            all("return" not in f and "clopen" not in f for f in report.failures),
-        )
-        checks.add("all-identities", report.passed, witness=list(report.failures) or None)
+        kinds = {f.kind for f in report.failures}
+        checks.add("commutation", "commutation" not in kinds, depth=args.depth)
+        checks.add("doubling", "doubling" not in kinds)
+        checks.add("return-time-two", not kinds & {"not-in-target", "return-time"})
+        checks.add("all-identities", report.passed, witness=[str(f) for f in report.failures] or None)
     elif args.product_command == "witness":
         if args.kind == "nonexpansive":
             witness = product.nonexpansive_witness(args.epsilon)
@@ -781,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verify", action="store_true")
         p.add_argument("--depth", type=_int_at_least(0), default=DEFAULT_DEPTH)
         p.add_argument("--horizon", type=_int_at_least(1), default=DEFAULT_HORIZON)
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+        p.add_argument("--bound", type=_int_at_least(0), default=DEFAULT_BOUND)
         if name == "language":
             p.add_argument("--length", type=_int_at_least(0), default=0)
         if name == "derive":
@@ -859,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--file")
         p.add_argument("--builtin")
         p.add_argument("--resolution", type=_int_at_least(1), default=8)
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+        p.add_argument("--bound", type=_int_at_least(0), default=DEFAULT_BOUND)
         p.add_argument("--verify", action="store_true")
         if name == "language":
             p.add_argument("--base", required=True)

@@ -4,7 +4,10 @@ T(x, z) = (Sx, z+1) on X x Z_3 is self-induced through (x, z) -> (sigma(x), 2z)
 onto sigma(X) x Z_3, is non-expansive because the odometer coordinate is an
 isometry, and is non-equicontinuous because the word coordinate is expansive.
 This module verifies the three identities exactly at finite depth and
-produces the two witnesses.
+produces the two witnesses.  The two word identities (sigma(Sx) = S^2(sigma x)
+and return time 2 to sigma(X)) come from the substitution's own sampling
+harness, `substitution.verify_self_induced`; only the doubling on Z_3 is
+checked here.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from fractions import Fraction
 from .errors import ConstructionError, WindowExhausted
 from .odometer import EventuallyPeriodic, OdometerPoint, add, add_one
 from .substitution import (
-    image_clopen,
+    SelfInductionFailure,
     iterate,
     period_doubling,
-    recognizability_radius,
+    verify_self_induced,
 )
 from .words import Word
 
@@ -82,7 +85,7 @@ class ProductReport:
     commutation_checks: int
     doubling_checks: int
     return_time_checks: int
-    failures: tuple[str, ...]
+    failures: tuple[SelfInductionFailure, ...]
 
     @property
     def passed(self) -> bool:
@@ -91,72 +94,23 @@ class ProductReport:
 
 def verify_product_selfinduced(depth: int, samples: int) -> ProductReport:
     """The three exact identities behind the self-induction of the product:
-    sigma intertwines S with S^2, doubling intertwines +1 with +2, and the
-    return time to sigma(X) x Z_3 is the constant 2."""
-    if samples < 1:
-        raise ConstructionError("self-induction check needs at least one sample")
-    if depth < 0:
-        raise ConstructionError("self-induction check needs a non-negative depth")
-    s = period_doubling()
-    radius = recognizability_radius(s, 8)
-    clopen = image_clopen(s, radius)
-
-    margin = depth + radius + 4
-    needed = max(8 * margin, 4 * samples + 4 * margin)
-    text = ("0",)
-    while len(text) < needed:
-        text = s.apply_letters(text)
-    image = s.apply_letters(text)
-    cum = [0]
-    for letter in text:
-        cum.append(cum[-1] + len(s.image_letters(letter)))
-
-    first, last = margin, len(text) - margin - 1
-    step = max(1, (last - first) // samples)
-    origins = [first + i * step for i in range(samples)]
-
-    failures: list[str] = []
-    commutation = doubling = returns = 0
-
+    sigma intertwines S with S^2 and the return time to sigma(X) x Z_3 is the
+    constant 2 (the substitution's own check, every period-doubling image
+    having length 2), and doubling intertwines +1 with +2 on Z_3."""
+    word = verify_self_induced(period_doubling(), depth, samples)
+    failures = list(word.failures)
     odo_depth = max(6, depth // 2)
-    for index, o in enumerate(origins):
-        o_img = cum[o]
-        # (i) sigma(S x) = S^2 (sigma x), letter by letter on the overlap
-        commutation += 1
-        lo = o + 1 - margin
-        window = text[lo : o + 1 + margin]
-        reimage = s.apply_letters(window)
-        re_origin = sum(len(s.image_letters(b)) for b in window[:margin])
-        lhs = reimage[re_origin - depth : re_origin + depth]
-        rhs = image[o_img + 2 - depth : o_img + 2 + depth]
-        if lhs != rhs:
-            failures.append(f"sigma(Sx) != S^2(sigma x) at origin {o}")
-
-        # (ii) 2(z+1) = 2z + 2 in the truncated triadic integers
-        doubling += 1
-        z = triadic_point(index * 17 + o, odo_depth)
-        left = triadic_double(add_one(z, TRIADIC))
-        right = add(triadic_double(z), TRIADIC, 2)
-        if left != right:
-            failures.append(f"doubling fails at z index {index}")
-
-        # (iii) return time of the phi-image to sigma(X) x Z_3 is exactly 2
-        returns += 1
-        if not clopen.contains_at(image, o_img):
-            failures.append(f"phi image outside the clopen target at origin {o}")
-            continue
-        if clopen.contains_at(image, o_img + 1):
-            failures.append(f"premature return at origin {o}")
-        if not clopen.contains_at(image, o_img + 2):
-            failures.append(f"no return after two steps at origin {o}")
-
+    for z_value in range(0, 17 * samples, 17):  # 17 is prime to 3
+        z = triadic_point(z_value, odo_depth)
+        if triadic_double(add_one(z, TRIADIC)) != add(triadic_double(z), TRIADIC, 2):
+            failures.append(SelfInductionFailure("doubling", z_value, "2(z+1) != 2z + 2"))
     return ProductReport(
         depth=depth,
         samples=samples,
-        radius=radius,
-        commutation_checks=commutation,
-        doubling_checks=doubling,
-        return_time_checks=returns,
+        radius=word.radius,
+        commutation_checks=len(word.return_times),
+        doubling_checks=samples,
+        return_time_checks=len(word.image_lengths),
         failures=tuple(failures),
     )
 

@@ -17,9 +17,10 @@ exact.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Literal, Mapping
 
 from . import matrixutil
 from .errors import (
@@ -68,9 +69,10 @@ class Substitution:
         self._lang_cache: dict[int, Language] = {}
         self._power_cache: dict[int, "Substitution"] = {}
         self._radius_cache: dict[int, int | None] = {}
+        self._boundary_cache: dict[int, list[Cylinder]] = {}
         self._primitivity: "PrimitivityReport | None" = None
         self._periodicity: "PeriodicityResult | None" = None
-        self._power_root: "Substitution" = self
+        self._root: "weakref.ref[Substitution] | None" = None
 
     @property
     def alphabet(self) -> Alphabet:
@@ -108,7 +110,8 @@ class Substitution:
         """The substitution with rules a -> sigma^k(a).
 
         Powers generate the same subshift, so they share the root's language
-        cache and periodicity verdict."""
+        cache and periodicity verdict.  A power holds its root weakly, so a
+        rule and its cached languages are freed as soon as the rule is."""
         if k < 1:
             raise ConstructionError("power must be >= 1")
         if k == 1:
@@ -122,7 +125,7 @@ class Substitution:
                 rules[a] = img
             sk = Substitution(self._alphabet, rules)
             sk._lang_cache = self._lang_cache
-            sk._power_root = self._power_root
+            sk._root = self._root or weakref.ref(self)
             self._power_cache[k] = sk
         return self._power_cache[k]
 
@@ -376,9 +379,10 @@ def periodicity_check(s: Substitution) -> PeriodicityResult:
 
 def periodicity_cached(s: Substitution) -> PeriodicityResult:
     """Periodicity of the subshift; powers defer to their root substitution
-    (same subshift, much smaller search bound)."""
+    (same subshift, much smaller search bound) while it is alive, and
+    decide it themselves once it is gone."""
     if s._periodicity is None:
-        root = s._power_root
+        root = (s._root and s._root()) or s
         if root._periodicity is None:
             root._periodicity = periodicity_check(root)
         s._periodicity = root._periodicity
@@ -469,23 +473,32 @@ def cut_statuses(s: Substitution, window: tuple, position: int) -> set[bool]:
     return {t.has_cut(position) for t in image_tilings(s, window)}
 
 
+def _boundary_cylinders(s: Substitution, radius: int, strict: bool) -> list[Cylinder] | None:
+    """The (2R+1)-words whose centre is unambiguously a block boundary, as
+    cylinders; when strict, None as soon as a word leaves its centre open."""
+    cylinders = []
+    for w in s.language_at(2 * radius + 1).words(2 * radius + 1):
+        statuses = cut_statuses(s, w.letters, radius)
+        if statuses == {True}:
+            cylinders.append(Cylinder(w[:radius], w[radius:]))
+        elif strict and len(statuses) != 1:
+            return None
+    return cylinders
+
+
 def recognizability_radius(s: Substitution, bound: int) -> int | None:
     """Smallest R <= bound such that every (2R+1)-word of the language fixes
-    the cut-or-not answer at its centre, or None (Unknown)."""
+    the cut-or-not answer at its centre, or None (Unknown).  The boundary
+    words found at R are kept for `image_clopen`."""
     _require_primitive(s)
     _require_aperiodic(s)
     if bound in s._radius_cache:
         return s._radius_cache[bound]
     answer = None
     for radius in range(bound + 1):
-        lang = s.language_at(2 * radius + 1)
-        ok = True
-        for w in lang.words(2 * radius + 1):
-            statuses = cut_statuses(s, w.letters, radius)
-            if len(statuses) != 1:
-                ok = False
-                break
-        if ok:
+        cylinders = _boundary_cylinders(s, radius, strict=True)
+        if cylinders is not None:
+            s._boundary_cache[radius] = cylinders
             answer = radius
             break
     s._radius_cache[bound] = answer
@@ -494,13 +507,10 @@ def recognizability_radius(s: Substitution, bound: int) -> int | None:
 
 def image_clopen(s: Substitution, radius: int) -> ClopenSet:
     """sigma(X) as a union of radius-`radius` cylinders: the (2R+1)-words
-    whose centre is unambiguously a block boundary."""
-    lang = s.language_at(2 * radius + 1)
-    cylinders = []
-    for w in lang.words(2 * radius + 1):
-        statuses = cut_statuses(s, w.letters, radius)
-        if statuses == {True}:
-            cylinders.append(Cylinder(w[:radius], w[radius:]))
+    whose centre is unambiguously a block boundary, tiled once per radius."""
+    cylinders = s._boundary_cache.get(radius)
+    if cylinders is None:
+        cylinders = s._boundary_cache[radius] = _boundary_cylinders(s, radius, strict=False)
     if not cylinders:
         raise EmptyClopen(f"no unambiguous block boundaries at radius {radius}")
     return ClopenSet(cylinders)
@@ -687,6 +697,21 @@ def _derived_name(i: int) -> str:
 
 
 @dataclass(frozen=True)
+class SelfInductionFailure:
+    """One failed identity at a sampled origin.  Kinds: "not-in-target"
+    (sigma(x) outside U), "return-time" (first return != |sigma(x_0)|),
+    "commutation" (sigma(Sx) != S^w(sigma x) on the overlap) and "doubling"
+    (the product's 2(z+1) != 2z + 2, with z as the origin)."""
+
+    kind: Literal["not-in-target", "return-time", "commutation", "doubling"]
+    origin: int
+    detail: str
+
+    def __str__(self) -> str:
+        return f"{self.kind} at origin {self.origin}: {self.detail}"
+
+
+@dataclass(frozen=True)
 class SelfInductionReport:
     radius: int
     clopen_size: int
@@ -694,7 +719,7 @@ class SelfInductionReport:
     depth: int
     return_times: tuple[int, ...]
     image_lengths: tuple[int, ...]
-    failures: tuple[str, ...] = field(default=())
+    failures: tuple[SelfInductionFailure, ...] = field(default=())
 
     @property
     def passed(self) -> bool:
@@ -736,7 +761,7 @@ def verify_self_induced(
     step = max(1, (last - first) // samples)
     origins = [first + i * step for i in range(samples)]
 
-    failures: list[str] = []
+    failures: list[SelfInductionFailure] = []
     return_times: list[int] = []
     image_lengths: list[int] = []
     for o in origins:
@@ -744,7 +769,7 @@ def verify_self_induced(
         w = len(s.image_letters(text[o]))
         image_lengths.append(w)
         if not clopen.contains_at(image, o_img):
-            failures.append(f"sigma(x) not in U at origin {o}")
+            failures.append(SelfInductionFailure("not-in-target", o, "sigma(x) not in U"))
             continue
         measured = None
         for n in range(1, w + 1):
@@ -753,9 +778,9 @@ def verify_self_induced(
                 break
         return_times.append(measured if measured is not None else -1)
         if measured != w:
-            failures.append(
-                f"return time {measured} != |sigma(x_0)| = {w} at origin {o}"
-            )
+            failures.append(SelfInductionFailure(
+                "return-time", o, f"return time {measured} != |sigma(x_0)| = {w}"
+            ))
         # independent recomputation of sigma(S(x)) against S^w(sigma(x))
         lo, hi = o + 1 - margin, o + 1 + margin
         window = text[lo:hi]
@@ -765,7 +790,9 @@ def verify_self_induced(
         lhs = reimage[re_origin - span : re_origin + span]
         rhs = image[o_img + w - span : o_img + w + span]
         if lhs != rhs:
-            failures.append(f"sigma(Sx) != S^w(sigma x) on overlap at origin {o}")
+            failures.append(SelfInductionFailure(
+                "commutation", o, f"sigma(Sx) != S^{w}(sigma x) on the overlap"
+            ))
 
     return SelfInductionReport(
         radius=radius,

@@ -5,6 +5,7 @@ ordered-graph embeddings with their independent verifier."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorsys.bratteli import (
     minimal_path_to,
@@ -39,6 +40,7 @@ from cantorsys.errors import (
     NotStationary,
     SplitDoesNotCompose,
 )
+from cantorsys.odometer import EventuallyPeriodic, OdometerPoint, add_one
 from cantorsys.substitution import fibonacci, iterate, period_doubling
 from cantorsys.words import Word
 
@@ -621,3 +623,35 @@ class TestDynamicsAgainstMeasure:
             assert abs(empirical - exact) < 2e-2
         mean_gap = sum(gaps) / len(gaps)
         assert abs(mean_gap - float(kac.expected_return_time)) < 5e-2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_vershik_steps_match_odometer_add_one(data):
+    """On the one-vertex diagram of (q_1, ..., q_D) a path with ranks r_k is
+    the integer sum r_k p_{k-1} (p_k = q_1 ... q_k), and the Vershik step is
+    +1 in Z/p_D; the all-maximal path, with no successor, is the wrap to 0."""
+    qs = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=8), label="qs")
+    products = [1]
+    for q in qs:
+        products.append(products[-1] * q)
+    value = data.draw(st.integers(0, products[-1] - 1), label="start")
+    steps = data.draw(st.integers(0, 50), label="steps")
+    d = one_vertex_diagram(qs)
+    sequence = EventuallyPeriodic(tuple(qs), (2,))
+
+    def path_of(n):
+        return PathPrefix(d, tuple(d.incoming(k + 1, 0)[n // products[k] % q] for k, q in enumerate(qs)))
+
+    prefix = path_of(value)
+    point = OdometerPoint(tuple(value % p for p in products[1:]))
+    for _ in range(steps):
+        point = add_one(point, sequence)
+        successor = vershik_step(d, prefix)
+        if successor is NEEDS_EXTENSION:
+            assert value == products[-1] - 1 and point.digits[-1] == 0
+            prefix, value = path_of(0), 0
+        else:
+            prefix = successor
+            value = sum(e.rank * p for e, p in zip(prefix.edges, products))
+        assert point.digits == tuple(value % p for p in products[1:])

@@ -221,6 +221,28 @@ class TestProduct:
         _, code = run(["product", "verify", "--depth", "8", "--samples", "50"])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "kind, check",
+        [
+            ("commutation", "commutation"),
+            ("doubling", "doubling"),
+            ("not-in-target", "return-time-two"),
+            ("return-time", "return-time-two"),
+        ],
+    )
+    def test_failure_kind_fails_only_its_check(self, monkeypatch, kind, check):
+        from cantorsys import product
+        from cantorsys.substitution import SelfInductionFailure
+
+        failure = SelfInductionFailure(kind, 17, "forced")
+        report = product.ProductReport(8, 50, 1, 50, 50, 50, (failure,))
+        monkeypatch.setattr(product, "verify_product_selfinduced", lambda depth, samples: report)
+        payload, code = run(["product", "verify", "--depth", "8", "--samples", "50"])
+        assert code == 1
+        failed = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
+        assert failed == [check, "all-identities"]
+        assert payload["checks"][-1]["witness"] == [str(failure)]
+
     def test_witness_nonexpansive(self):
         payload, code = run(
             ["product", "witness", "--kind", "nonexpansive", "--epsilon", "1/81"]
@@ -277,6 +299,9 @@ class TestReportContract:
              "--right", "1", "--radius", "0"],
             ["sub", "language", "--file", "pd.sub", "--length", "-1"],
             ["gensub", "language", "--builtin", "zero-successor", "--base", "0", "--length", "0"],
+            ["sub", "analyze", "--file", "pd.sub", "--bound", "-1"],
+            ["gensub", "primitive", "--builtin", "zero-successor", "--resolution", "4",
+             "--bound", "-1"],
         ],
     )
     def test_out_of_range_argument_exits_2(self, docs, argv):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cantorsys import product
 from cantorsys.errors import ConstructionError, WindowExhausted
 from cantorsys.product import (
     NonequicontinuousWitness,
@@ -67,6 +68,14 @@ class TestSelfInduction:
     def test_degenerate_depth(self):
         report = verify_product_selfinduced(depth=0, samples=3)
         assert report.passed
+
+    def test_broken_doubling_is_a_typed_failure(self, monkeypatch):
+        monkeypatch.setattr(product, "add", lambda z, q, amount: triadic_point(1, z.depth))
+        report = verify_product_selfinduced(depth=8, samples=5)
+        assert [(f.kind, f.origin) for f in report.failures] == [
+            ("doubling", z) for z in (0, 17, 34, 51, 68)
+        ]
+        assert report.doubling_checks == 5 and report.commutation_checks == 5
 
 
 class TestIsometry:

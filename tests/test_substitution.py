@@ -6,13 +6,17 @@ a raw gap scan on an iterated image, derived rules are verified by brute
 expansion, frequencies against empirical counts.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cantorsys import substitution as S
 from cantorsys.errors import (
     ConstructionError,
+    EmptyClopen,
     EmptyWord,
     HorizonTooSmall,
     NotPrimitive,
@@ -20,6 +24,7 @@ from cantorsys.errors import (
 )
 from cantorsys.gensub import discrete_space, discrete_substitution, omega_fixed_point
 from cantorsys.substitution import (
+    SelfInductionFailure,
     ShiftPoint,
     SubstitutionShiftHandle,
     Substitution,
@@ -37,6 +42,7 @@ from cantorsys.substitution import (
     iterate,
     language,
     period_doubling,
+    periodicity_cached,
     periodicity_check,
     recognizability_radius,
     return_words,
@@ -317,6 +323,26 @@ class TestRecognizability:
         tilings = image_tilings(s, text)
         assert all(t.has_cut(0) for t in tilings)
 
+    @pytest.mark.parametrize(
+        "make", [period_doubling, fibonacci, thue_morse, lambda: thue_morse().power(2)]
+    )
+    def test_image_clopen_reads_the_radius_search(self, make, monkeypatch):
+        calls = []
+        original = S.image_tilings
+        monkeypatch.setattr(S, "image_tilings", lambda *a, **k: calls.append(a) or original(*a, **k))
+        s = make()
+        radius = recognizability_radius(s, 4 * s.max_image_length())
+        searched = len(calls)
+        clopen = image_clopen(s, radius)
+        assert searched > 0 and len(calls) == searched
+        fresh = image_clopen(make(), radius)  # no radius search: tiles anew
+        assert len(calls) > searched
+        assert clopen.cylinders == fresh.cylinders
+
+    def test_radius_without_boundaries_is_an_empty_clopen(self):
+        with pytest.raises(EmptyClopen):
+            image_clopen(period_doubling(), 0)
+
 
 class TestSelfInduction:
     def test_period_doubling_depth_200(self):
@@ -344,6 +370,65 @@ class TestSelfInduction:
         base = verify_self_induced(s, depth=50, samples=10)
         squared = verify_self_induced(s.power(2), depth=50, samples=10)
         assert base.passed == squared.passed
+
+    @pytest.mark.parametrize("kind", ["not-in-target", "return-time", "commutation", "doubling"])
+    def test_failure_text_names_kind_and_origin(self, kind):
+        text = str(SelfInductionFailure(kind, 37, "forced"))
+        assert kind in text and "origin 37" in text
+
+    @pytest.mark.parametrize("centre_cut, kind", [(False, "not-in-target"), (None, "return-time")])
+    def test_wrong_target_gives_typed_failures(self, monkeypatch, centre_cut, kind):
+        """U replaced by the non-boundary words (sigma(x) never in U) or by
+        every word (first return after one step, not |sigma(x_0)| = 2)."""
+        s = period_doubling()
+        radius = recognizability_radius(s, 8)
+        lang = s.language_at(2 * radius + 1)
+        cylinders = [
+            Cylinder(v[:radius], v[radius:])
+            for v in lang.words(2 * radius + 1)
+            if centre_cut is None or cut_statuses(s, v.letters, radius) == {centre_cut}
+        ]
+        monkeypatch.setattr(S, "image_clopen", lambda s, r: ClopenSet(cylinders))
+        report = verify_self_induced(s, depth=10, samples=6)
+        assert len(report.failures) == 6
+        assert {f.kind for f in report.failures} == {kind}
+        assert all(f"origin {f.origin}" in str(f) for f in report.failures)
+
+
+class TestPowerRoot:
+    @pytest.fixture()
+    def checked(self, monkeypatch):
+        """The substitutions `periodicity_check` runs on, in call order."""
+        seen = []
+        original = S.periodicity_check
+        monkeypatch.setattr(S, "periodicity_check", lambda s: seen.append(s) or original(s))
+        return seen
+
+    def test_rule_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            s = thue_morse()
+            s.power(2)
+            s.language_at(10)
+            ref = weakref.ref(s)
+            del s
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_power_periodicity_comes_from_the_root(self, checked):
+        s = thue_morse()
+        result = periodicity_cached(s.power(3))
+        assert checked == [s]
+        assert not result.periodic and periodicity_cached(s) is result
+
+    def test_orphaned_power_decides_periodicity_itself(self, checked):
+        s = period_doubling()
+        sk = s.power(2)
+        del s
+        result = periodicity_cached(sk)
+        assert checked == [sk]
+        assert not result.periodic and result.certificate.period_bound == 32  # sk's own bound
 
 
 class TestShiftHandle:
