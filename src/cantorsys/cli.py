@@ -627,6 +627,8 @@ def _cmd_gensub(args, checks: Checks, payload: dict) -> None:
         cells = tuple(
             _find_cell(g, name.strip(), args.resolution) for name in args.cells.split(",")
         )
+        if args.origin > len(cells):
+            raise DocumentError(f"--origin {args.origin} is past the {len(cells)} cells")
         window = gensub.TwoSidedCellWord(cells, args.origin)
         result = gensub.recognizability_decompose(g, window)
         if isinstance(result, gensub.Decomposition):
@@ -861,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--radius", type=_int_at_least(1), default=8)
         if name == "decompose":
             p.add_argument("--cells", required=True)
-            p.add_argument("--origin", type=int, required=True)
+            p.add_argument("--origin", type=_int_at_least(0), required=True)
         if name in ("from-system", "power-check"):
             p.add_argument("--system", required=True)
         if name == "power-check":

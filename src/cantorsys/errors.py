@@ -46,7 +46,8 @@ class EmptyClopen(CantorSysError):
 
 
 class HorizonTooSmall(CantorSysError):
-    """Return-word scan did not stabilise when the horizon was doubled."""
+    """A search over a finite sample stopped before its answer was certain.
+    Return words are exact, so no computation of the package raises it."""
 
 
 class RecognizabilityUnknown(CantorSysError):

@@ -16,10 +16,6 @@ from .errors import ConstructionError
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k = len(a), len(b)
     if any(len(row) != k for row in a):
@@ -29,17 +25,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    result = identity(len(a))
-    base = a
-    while k > 0:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
 
 
 def transpose(a: Matrix) -> Matrix:

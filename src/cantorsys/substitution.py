@@ -1,9 +1,10 @@
 """Primitive substitutions on finite alphabets and their subshifts.
 
 Iteration, primitivity and aperiodicity decisions, exact letter/word
-frequencies, language generation, return words, derived substitutions and a
-constructive check that the subshift is conjugate to its induced system on
-the image of the substitution.
+frequencies, language generation, return words to a letter cylinder (exact,
+by closing the first return word under the substitution), derived
+substitutions and a constructive check that the subshift is conjugate to its
+induced system on the image of the substitution.
 
 The recognizability machinery works by exhaustive tiling (`words.tilings`,
 the search generalized substitutions use too): a finite window is decomposed
@@ -27,7 +28,6 @@ from .errors import (
     ConstructionError,
     EmptyClopen,
     EmptyWord,
-    HorizonTooSmall,
     NoFixedLetterPower,
     NotPrimitive,
     Periodic,
@@ -519,27 +519,6 @@ def image_clopen(s: Substitution, radius: int) -> ClopenSet:
 # -- return words ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReturnWordSet:
-    """Return words to a clopen set, plain and decorated.
-
-    A decorated entry (u-, w, u+) records the past word at the visit that
-    starts w and the future word at the next visit, so u- w u+ is always a
-    language word; erasing the decorations gives the plain set.
-    """
-
-    plain: frozenset[Word]
-    decorated: frozenset[tuple[Word, Word, Word]]
-    certified_horizon: int
-
-    @staticmethod
-    def theta(triple: tuple[Word, Word, Word]) -> Word:
-        return triple[1]
-
-    def sorted_plain(self) -> tuple[Word, ...]:
-        return tuple(sorted(self.plain, key=Word.sort_key))
-
-
 def _long_text(s: Substitution, min_length: int) -> tuple:
     a = s.alphabet.letters[0]
     text = (a,)
@@ -548,44 +527,49 @@ def _long_text(s: Substitution, min_length: int) -> tuple:
     return text
 
 
-def return_words(s: Substitution, clopen: ClopenSet, horizon: int) -> ReturnWordSet:
-    """Left-anchored return words: each starts at a visit of the set and ends
-    one position before the next visit.  Certified when doubling the scan
-    horizon finds nothing new."""
+def return_words(s: Substitution, a: Letter, power: int) -> dict[Word, tuple[Word, ...]]:
+    """Every return word to the cylinder [a] (from a visit of a up to the
+    next), each mapped to its cut: the return words that start at the visits
+    of a inside sigma^power of it.  Needs a to occur in sigma^power(a); when
+    sigma^power(a) starts with a, the cut is a decomposition of the image.
+
+    Durand's closure (1998): the first return word in an iterate of a,
+    closed under the cut.  It is complete.  Write sigma^power(a) = v a w with
+    no a in v.  If t = c_1 ... c_m a with every c_i in the closure, then
+    sigma^power(t) = v t' w, where t' is again such a text and holds
+    sigma^power of t with its end letters removed.  So the closure holds the
+    return words of ever longer images, and these hold every word of the
+    language because sigma is primitive.  Keys come in order of discovery,
+    the seed first.
+    """
     _require_primitive(s)
     _require_aperiodic(s)
-    width = clopen.past_length + clopen.future_length
-    lang = s.language_at(max(width, 1))
-    for c in clopen:
-        if width and (c.past + c.future) not in lang:
-            raise EmptyClopen(f"cylinder {c} is empty in the subshift")
+    if a not in s.alphabet:
+        raise ConstructionError(f"letter {a!r} not in alphabet")
+    sk = s.power(power)
+    image_of_a = sk.image_letters(a)
+    if a not in image_of_a:
+        raise ConstructionError(f"{a!r} does not occur in its image under sigma^{power}")
+    text = (a,)
+    while text.count(a) < 2:
+        text = sk.apply_letters(text)
+    first = text.index(a)
+    seed = text[first : text.index(a, first + 1)]
+    # the image of a return word is followed by v a, which holds the visit
+    # that ends its last piece
+    head = image_of_a[: image_of_a.index(a) + 1]
 
-    pad = max(clopen.past_length, clopen.future_length)
-    text = _long_text(s, 2 * horizon + 2 * pad + 2)
-
-    def scan(limit: int):
-        occurrences = [
-            p
-            for p in range(pad, pad + limit)
-            if clopen.contains_at(text, p)
-        ]
-        plain = set()
-        decorated = set()
-        for i, j in zip(occurrences, occurrences[1:]):
-            w = Word(text[i:j])
-            plain.add(w)
-            past = Word(text[i - clopen.past_length : i])
-            future = Word(text[j : j + clopen.future_length])
-            decorated.add((past, w, future))
-        return plain, decorated
-
-    plain_1, decorated_1 = scan(horizon)
-    plain_2, decorated_2 = scan(2 * horizon)
-    if not plain_1 or plain_1 != plain_2 or decorated_1 != decorated_2:
-        raise HorizonTooSmall(
-            f"return words did not stabilise at horizon {horizon}"
-        )
-    return ReturnWordSet(frozenset(plain_2), frozenset(decorated_2), horizon)
+    cuts: dict[tuple, tuple] = {}
+    todo = [seed]
+    while todo:
+        r = todo.pop()
+        if r in cuts:
+            continue
+        img = sk.apply_letters(r) + head
+        visits = [p for p, b in enumerate(img) if b == a]
+        cuts[r] = tuple(img[i:j] for i, j in zip(visits, visits[1:]))
+        todo.extend(cuts[r])
+    return {Word(r): tuple(map(Word, pieces)) for r, pieces in cuts.items()}
 
 
 # -- derived substitutions (self-induction on a letter cylinder) ------------
@@ -610,8 +594,10 @@ def derive(s: Substitution, a: Letter) -> DerivedSubstitution:
     """The substitution induced on the return words to the cylinder [a].
 
     Needs some power k with sigma^k(a) starting with a (the first-letter map
-    must cycle through a); the derived rules decompose sigma^k of each return
-    word at the visits of [a], and the defining relation is checked exactly.
+    must cycle through a); tau maps each return word to the return words
+    sigma^k cuts it into at the visits of [a], so theta o tau = sigma^k o theta
+    holds by construction.  Return words are named in order of first
+    occurrence along the fixed point of sigma^k starting at a.
     """
     _require_primitive(s)
     _require_aperiodic(s)
@@ -628,63 +614,22 @@ def derive(s: Substitution, a: Letter) -> DerivedSubstitution:
         raise NoFixedLetterPower(
             f"no power <= {len(s.alphabet)} of the substitution fixes the first letter {a!r}"
         )
-    sk = s.power(power)
+    cuts = return_words(s, a, power)
 
-    horizon = 256
-    returns = None
-    while horizon <= (1 << 16):
-        try:
-            returns = return_words(
-                s, ClopenSet([Cylinder(Word(), Word((a,)))]), horizon
-            )
-            break
-        except HorizonTooSmall:
-            horizon *= 2
-    if returns is None:
-        raise HorizonTooSmall("return words to the letter cylinder did not stabilise")
-
-    # name return words in order of first occurrence along the fixed point of
-    # sigma^power starting at the chosen letter
-    text = (a,)
-    ordered: list[Word] = []
-    while len(text) < (1 << 18):
-        text = sk.apply_letters(text)
-        occurrences = [p for p in range(len(text)) if text[p] == a]
-        ordered = []
-        for i, j in zip(occurrences, occurrences[1:]):
-            w = Word(text[i:j])
-            if w not in ordered:
-                ordered.append(w)
-        if set(ordered) == set(returns.plain):
-            break
-    if set(ordered) != set(returns.plain):
-        raise HorizonTooSmall("return word enumeration disagrees with the certified set")
-    names = [_derived_name(i) for i in range(len(ordered))]
-    by_word = dict(zip(ordered, names))
-    theta = dict(zip(names, ordered))
-
-    rules = {}
-    for w, name in by_word.items():
-        img = sk.apply_letters(w.letters)
-        cuts = [p for p in range(len(img)) if img[p] == a]
-        if not cuts or cuts[0] != 0:
-            raise ConstructionError("image of a return word must start at a visit")
-        segments = [
-            Word(img[i:j]) for i, j in zip(cuts, cuts[1:] + [len(img)])
-        ]
-        try:
-            rules[name] = Word(tuple(by_word[seg] for seg in segments))
-        except KeyError as exc:
-            raise HorizonTooSmall(f"unseen return word {exc} in a decomposition") from None
-
-    tau = Substitution(Alphabet(names), rules)
-    derived = DerivedSubstitution(tau, theta, power)
-    for name in names:
-        lhs = derived.theta_word(rules[name])
-        rhs = iterate(s, theta[name], power)
-        if lhs != rhs:
-            raise ConstructionError(f"theta o tau != sigma^{power} o theta at {name}")
-    return derived
+    # the fixed point is its own image, so its stream of return words is the
+    # seed's cut followed by the cuts of the stream's later words
+    stream = list(cuts[next(iter(cuts))])
+    ordered = dict.fromkeys(stream)
+    i = 1
+    while len(ordered) < len(cuts):
+        pieces = cuts[stream[i]]
+        stream.extend(pieces)
+        ordered.update(dict.fromkeys(pieces))
+        i += 1
+    names = {w: _derived_name(i) for i, w in enumerate(ordered)}
+    rules = {names[w]: Word(names[p] for p in cuts[w]) for w in ordered}
+    tau = Substitution(Alphabet(list(names.values())), rules)
+    return DerivedSubstitution(tau, {name: w for w, name in names.items()}, power)
 
 
 def _derived_name(i: int) -> str:
@@ -856,10 +801,12 @@ class SubstitutionShiftHandle(SystemHandle):
         return self.in_iterated_image(point, 1)
 
     def phi(self, point: ShiftPoint) -> ShiftPoint:
-        new_origin = sum(
-            len(self._s.image_letters(b)) for b in point.text[: point.origin]
-        )
-        return ShiftPoint(self._s.apply_letters(point.text), new_origin)
+        """sigma of the point, applied to the margin on each side of the
+        origin: each side's image is at least as long as the side."""
+        lo = max(0, point.origin - self._margin)
+        window = point.text[lo : point.origin + self._margin]
+        new_origin = sum(len(self._s.image_letters(b)) for b in window[: point.origin - lo])
+        return ShiftPoint(self._s.apply_letters(window), new_origin)
 
     def in_iterated_image(self, point: ShiftPoint, power: int) -> bool:
         clopen = self._clopens.get(power)
@@ -891,9 +838,16 @@ class SubstitutionShiftHandle(SystemHandle):
         return Word(point.text[lo:hi])
 
     def representative(self, cell: Word) -> ShiftPoint:
+        """The first occurrence of the cell inside the margins of the sample
+        text, or of its images under sigma: a word of the language occurs in
+        every long enough image, because sigma is primitive."""
         target = cell.letters
+        if cell not in self._s.language_at(len(target)):
+            raise ConstructionError(f"cell {cell!r} is not a word of the language")
         m = len(target) // 2
-        for p in range(self._margin, len(self._text) - self._margin - len(target)):
-            if self._text[p : p + len(target)] == target:
-                return ShiftPoint(self._text, p + m)
-        raise ConstructionError(f"cell {cell!r} does not occur in the sample text")
+        text = self._text
+        while True:
+            for p in range(self._margin, len(text) - self._margin - len(target)):
+                if text[p : p + len(target)] == target:
+                    return ShiftPoint(text, p + m)
+            text = self._s.apply_letters(text)

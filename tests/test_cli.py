@@ -302,6 +302,8 @@ class TestReportContract:
             ["sub", "analyze", "--file", "pd.sub", "--bound", "-1"],
             ["gensub", "primitive", "--builtin", "zero-successor", "--resolution", "4",
              "--bound", "-1"],
+            ["gensub", "decompose", "--builtin", "zero-successor", "--cells", "0,1,0,2",
+             "--origin", "-1"],
         ],
     )
     def test_out_of_range_argument_exits_2(self, docs, argv):
@@ -309,6 +311,12 @@ class TestReportContract:
         payload, code = run(argv)
         assert code == 2
         assert payload == {"error": "usage"}
+
+    def test_origin_past_the_cells_exits_2(self):
+        payload, code = run(["gensub", "decompose", "--builtin", "zero-successor",
+                             "--cells", "0,1,0,2", "--origin", "9"])
+        assert code == 2
+        assert "checks" not in payload and "--origin 9" in payload["error"]
 
     def test_unknown_file_exits_2(self):
         _, code = run(["sub", "analyze", "--file", "/nonexistent.sub"])

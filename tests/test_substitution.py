@@ -18,11 +18,17 @@ from cantorsys.errors import (
     ConstructionError,
     EmptyClopen,
     EmptyWord,
-    HorizonTooSmall,
+    NoFixedLetterPower,
     NotPrimitive,
     Periodic,
 )
-from cantorsys.gensub import discrete_space, discrete_substitution, omega_fixed_point
+from cantorsys.gensub import (
+    Cell,
+    discrete_space,
+    discrete_substitution,
+    from_self_induced,
+    omega_fixed_point,
+)
 from cantorsys.substitution import (
     SelfInductionFailure,
     ShiftPoint,
@@ -240,36 +246,60 @@ class TestWordFrequencies:
 class TestReturnWords:
     def test_period_doubling_zero_cylinder(self):
         s = period_doubling()
-        result = return_words(s, ClopenSet([Cylinder(w(""), w("0"))]), 64)
-        assert result.plain == frozenset({w("0"), w("01")})
-        assert result.plain == frozenset(gap_scan(s, "0", 10))
+        result = return_words(s, "0", 1)
+        assert set(result) == {w("0"), w("01")}
+        assert set(result) == gap_scan(s, "0", 10)
 
     def test_period_doubling_one_cylinder(self):
+        # sigma^2(1) = 0101 holds a 1 but does not start with one
         s = period_doubling()
-        result = return_words(s, ClopenSet([Cylinder(w(""), w("1"))]), 64)
-        assert result.plain == frozenset(gap_scan(s, "1", 12))
-        assert result.plain == frozenset({w("10"), w("1000")})
+        result = return_words(s, "1", 2)
+        assert set(result) == gap_scan(s, "1", 12)
+        assert set(result) == {w("10"), w("1000")}
 
     def test_fibonacci_zero_cylinder(self):
-        s = fibonacci()
-        result = return_words(s, ClopenSet([Cylinder(w(""), w("0"))]), 64)
-        assert result.plain == frozenset({w("0"), w("01")})
+        result = return_words(fibonacci(), "0", 1)
+        assert set(result) == {w("0"), w("01")}
 
-    def test_decorated_triples_are_language_words(self):
+    def test_cuts_decompose_images(self):
         s = period_doubling()
-        lang = s.language_at(12)
-        result = return_words(s, ClopenSet([Cylinder(w("0"), w("1"))]), 64)
-        for past, word, future in result.decorated:
-            assert past + word + future in lang
-        assert {word for _, word, _ in result.decorated} == set(result.plain)
+        result = return_words(s, "0", 1)
+        assert result[w("01")] == (w("01"), w("0"), w("0"))
+        assert result[w("0")] == (w("01"),)
 
-    def test_too_small_horizon(self):
-        with pytest.raises(HorizonTooSmall):
-            return_words(period_doubling(), ClopenSet([Cylinder(w(""), w("1"))]), 2)
+    def test_letter_missing_from_its_image_rejected(self):
+        with pytest.raises(ConstructionError):
+            return_words(period_doubling(), "1", 1)  # sigma(1) = 00
 
     def test_periodic_rejected(self):
         with pytest.raises(Periodic):
-            return_words(PERIODIC_SUB, ClopenSet([Cylinder(w(""), w("0"))]), 16)
+            return_words(PERIODIC_SUB, "0", 1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_primitive_rules(), st.data())
+def test_return_word_closure_matches_gap_scan(s, data):
+    """The closure equals the gaps between visits of a in sigma^(kn)(a) once
+    that text holds every closure word, for the least k with a in sigma^k(a);
+    derive intertwines exactly wherever a first-letter power exists."""
+    assume(not periodicity_cached(s).periodic)
+    a = data.draw(st.sampled_from(s.alphabet.letters))
+    power = next(k for k in range(1, len(s.alphabet) + 1) if a in iterate(s, w(a), k).letters)
+    closure = set(return_words(s, a, power))
+    n, gaps = 0, set()
+    while not gaps >= closure:
+        n += 1
+        assert len(iterate(s, w(a), power * n)) < 1 << 20
+        gaps = gap_scan(s, a, power * n, anchor=a)
+    assert gaps == closure
+    try:
+        d = derive(s, a)
+    except NoFixedLetterPower:
+        assert all(iterate(s, w(a), k)[0] != a for k in range(1, len(s.alphabet) + 1))
+        return
+    assert set(d.theta.values()) == closure
+    for name in d.tau.alphabet:
+        assert d.theta_word(d.tau.image(name)) == iterate(s, d.theta[name], d.power)
 
 
 class TestDerive:
@@ -291,6 +321,22 @@ class TestDerive:
         d = derive(thue_morse(), "0")
         assert d.power == 1
         assert set(d.theta.values()) == gap_scan(thue_morse(), "0", 12)
+
+    @pytest.mark.parametrize(
+        "rules,a",
+        [
+            ({"a": "bc", "b": "cc", "c": "aa"}, "b"),
+            ({"a": "cb", "b": "aa", "c": "bb"}, "c"),
+            ({"a": "cc", "b": "ca", "c": "aab"}, "a"),
+        ],
+    )
+    def test_return_words_first_seen_late(self, rules, a):
+        # some return word first occurs hundreds of letters into the fixed point
+        s = Substitution(Alphabet(["a", "b", "c"]), rules)
+        d = derive(s, a)
+        assert set(d.theta.values()) == gap_scan(s, a, 16 // d.power * d.power, anchor=a)
+        for name in d.tau.alphabet:
+            assert d.theta_word(d.tau.image(name)) == iterate(s, d.theta[name], d.power)
 
     @pytest.mark.parametrize(
         "s,a", [(period_doubling(), "0"), (fibonacci(), "0"), (thue_morse(), "0")]
@@ -462,6 +508,27 @@ class TestShiftHandle:
         with pytest.raises(ConstructionError):
             handle.in_iterated_image(ShiftPoint(window, radius), 1)
 
+    def test_representative_beyond_the_sample_text(self):
+        # ccbbcbba is in L_8 but not in the handle's 729-letter sample text
+        s = Substitution(Alphabet(["a", "b", "c"]), {"a": "cbb", "b": "aaa", "c": "aac"})
+        handle = SubstitutionShiftHandle(s)
+        cell = w("ccbbcbba")
+        assert cell.letters not in {handle._text[i : i + 8] for i in range(len(handle._text))}
+        assert handle.cell_of(handle.representative(cell), 4) == cell
+        g = from_self_induced(handle, 4)
+        assert Cell(4, "ccbbcbba") in g.lengths[4]
+        with pytest.raises(ConstructionError):
+            handle.representative(w("abababab"))
+
+    def test_phi_agrees_with_the_image_of_the_whole_text(self):
+        s = period_doubling()
+        handle = SubstitutionShiftHandle(s, depth=16)
+        for cell in handle.cells(3):
+            point = handle.representative(cell)
+            image = s.apply_letters(point.text)
+            origin = len(s.apply_letters(point.text[: point.origin]))
+            assert handle.cell_of(handle.phi(point), 16) == Word(image[origin - 16 : origin + 16])
+
     def test_two_sided_window_recurrence(self):
         g = discrete_substitution(discrete_space(["0", "1"]), {"0": "01", "1": "00"})
         zero = g.space.frontier(1)[0]
@@ -498,8 +565,8 @@ class TestThreeLetters:
 
     def test_return_words_match_gap_scan(self):
         s = tribonacci()
-        result = return_words(s, ClopenSet([Cylinder(Word(), Word(("0",)))]), 128)
-        assert result.plain == frozenset(gap_scan(s, "0", 14))
+        result = return_words(s, "0", 1)
+        assert set(result) == gap_scan(s, "0", 14)
 
     def test_derive_intertwines(self):
         s = tribonacci()
