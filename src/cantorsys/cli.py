@@ -534,15 +534,16 @@ def _cmd_bv(args, checks: Checks, payload: dict) -> None:
 
 
 def _gensub_from_args(args) -> tuple:
-    if getattr(args, "builtin", None):
-        if args.builtin == "zero-successor":
+    builtin, path = args.builtin, args.file
+    if builtin:
+        if builtin == "zero-successor":
             from . import gensub
 
             g = gensub.zero_successor_substitution(args.resolution)
             return g, {"builtin": "zero-successor", "resolution": args.resolution}
-        raise DocumentError(f"unknown builtin {args.builtin!r}")
-    if getattr(args, "file", None):
-        doc = _load_json(args.file)
+        raise DocumentError(f"unknown builtin {builtin!r}")
+    if path:
+        doc = _load_json(path)
         return parse_gensub(doc), doc
     raise DocumentError("no generalized substitution given (--file or --builtin)")
 
@@ -599,19 +600,19 @@ def _cmd_gensub(args, checks: Checks, payload: dict) -> None:
         violation = gensub.validate_continuity(g)
         checks.add("continuity", violation is None, witness=str(violation) if violation else None)
     elif args.gensub_command == "primitive":
-        table = gensub.is_primitive_at_resolution(g, args.resolution, args.bound)
+        table = gensub.is_primitive_at_resolution(g, args.resolution)
         payload["exponents"] = {str(c): v for c, v in sorted(table.items())}
         checks.add(
             "primitive-at-resolution",
             all(v is not None for v in table.values()),
             witness=payload["exponents"],
-            depth=args.bound,
+            depth=args.resolution,
         )
     elif args.gensub_command == "language":
         base = _find_cell(g, args.base, args.resolution)
-        words = gensub.language(g, base, args.length, args.resolution, args.bound)
+        words = gensub.language(g, base, args.length, args.resolution)
         payload["words"] = sorted(" ".join(c.name for c in w) for w in words)
-        checks.add("language", bool(words), depth=args.bound)
+        checks.add("language", bool(words), depth=args.resolution)
     elif args.gensub_command == "fixedpoint":
         left = _find_cell(g, args.left, args.resolution)
         right = _find_cell(g, args.right, args.resolution)
@@ -772,14 +773,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub_sub.add_parser(name)
         p.add_argument("--file", required=True)
         p.add_argument("--verify", action="store_true")
-        p.add_argument("--depth", type=_int_at_least(0), default=DEFAULT_DEPTH)
-        p.add_argument("--horizon", type=_int_at_least(1), default=DEFAULT_HORIZON)
-        p.add_argument("--bound", type=_int_at_least(0), default=DEFAULT_BOUND)
+        if name == "analyze":
+            p.add_argument("--bound", type=_int_at_least(0), default=DEFAULT_BOUND)
         if name == "language":
+            p.add_argument("--horizon", type=_int_at_least(1), default=DEFAULT_HORIZON)
             p.add_argument("--length", type=_int_at_least(0), default=0)
         if name == "derive":
             p.add_argument("--letter", required=True)
         if name == "self-induce":
+            p.add_argument("--depth", type=_int_at_least(0), default=DEFAULT_DEPTH)
             p.add_argument("--samples", type=_int_at_least(1), default=20)
 
     odo = top.add_parser("odo", help="odometers")
@@ -849,11 +851,12 @@ def build_parser() -> argparse.ArgumentParser:
         "power-check",
     ):
         p = gsub_sub.add_parser(name)
-        p.add_argument("--file")
-        p.add_argument("--builtin")
         p.add_argument("--resolution", type=_int_at_least(1), default=8)
-        p.add_argument("--bound", type=_int_at_least(0), default=DEFAULT_BOUND)
-        p.add_argument("--verify", action="store_true")
+        if name in ("from-system", "power-check"):
+            p.add_argument("--system", required=True)
+        else:
+            p.add_argument("--file")
+            p.add_argument("--builtin")
         if name == "language":
             p.add_argument("--base", required=True)
             p.add_argument("--length", type=_int_at_least(1), default=2)
@@ -861,11 +864,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--left", required=True)
             p.add_argument("--right", required=True)
             p.add_argument("--radius", type=_int_at_least(1), default=8)
+            p.add_argument("--verify", action="store_true")
         if name == "decompose":
             p.add_argument("--cells", required=True)
             p.add_argument("--origin", type=_int_at_least(0), required=True)
-        if name in ("from-system", "power-check"):
-            p.add_argument("--system", required=True)
         if name == "power-check":
             p.add_argument("--power", type=_int_at_least(1), default=3)
             p.add_argument("--samples", type=_int_at_least(1), default=8)

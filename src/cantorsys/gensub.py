@@ -379,64 +379,68 @@ def discrete_substitution(space: AlphabetSpace, rules: Mapping[str, str]) -> Gen
 
 
 def is_primitive_at_resolution(
-    g: GeneralizedSubstitution, resolution: int, bound: int
+    g: GeneralizedSubstitution, resolution: int
 ) -> dict[Cell, int | None]:
-    """For each target cell V: the least j <= bound such that every cell's
-    k-th image meets V for every j <= k <= bound; None marks Unknown."""
+    """For each target cell V: the least j with V in every cell's k-th image
+    for all k >= j, or None when there is none.  Images are non-empty, so j
+    is the first k at which every image meets V; the map a -> cells of
+    sigma^k(a) depends on its value at k - 1 only, so it recurs, and a target
+    unsettled by then is never settled."""
     if resolution == 0:
         # the one-cell partition: V is the whole space, met immediately
         return {g.space.root: 1}
     frontier = g.space.frontier(resolution)
-    step: dict[Cell, frozenset[Cell]] = {
-        a: frozenset(g.image(a, resolution)) for a in frontier
-    }
-    reached: dict[int, dict[Cell, frozenset[Cell]]] = {1: step}
-    for k in range(2, bound + 1):
-        prev = reached[k - 1]
-        reached[k] = {
-            a: frozenset().union(*(step[c] for c in prev[a])) for a in frontier
-        }
-    table: dict[Cell, int | None] = {}
-    for target in frontier:
-        exponent = None
-        for j in range(1, bound + 1):
-            if all(
-                target in reached[k][a]
-                for a in frontier
-                for k in range(j, bound + 1)
-            ):
-                exponent = j
-                break
-        table[target] = exponent
+    step = {a: frozenset(g.image(a, resolution)) for a in frontier}
+    table: dict[Cell, int | None] = dict.fromkeys(frontier)
+    reached = tuple(step[a] for a in frontier)
+    seen: set[tuple[frozenset[Cell], ...]] = set()
+    k = 1
+    while None in table.values() and reached not in seen:
+        for target, exponent in table.items():
+            if exponent is None and all(target in cells for cells in reached):
+                table[target] = k
+        seen.add(reached)
+        reached = tuple(frozenset().union(*(step[c] for c in cells)) for cells in reached)
+        k += 1
     return table
 
 
 # -- languages ------------------------------------------------------------------
 
 
+def _factor_closure(
+    g: GeneralizedSubstitution, seeds: Iterable[Cell], n: int, resolution: int
+) -> set[CellWord]:
+    """The cell words of length <= n in some sigma^j(a), j >= 1, a a seed:
+    the least set holding the factors of g(a) and closed under u -> factors
+    of g(u), as a window of n letters of g(w) spans at most n letters of w."""
+    found: set[CellWord] = set()
+    frontier: list[CellWord] = [(a,) for a in seeds]
+    while frontier:
+        fresh: list[CellWord] = []
+        for u in frontier:
+            img = g.apply(u, resolution)
+            for size in range(1, min(n, len(img)) + 1):
+                for i in range(len(img) - size + 1):
+                    v = img[i : i + size]
+                    if v not in found:
+                        found.add(v)
+                        fresh.append(v)
+        frontier = fresh
+    return found
+
+
 def language(
-    g: GeneralizedSubstitution, base: Cell, n: int, resolution: int, bound: int
+    g: GeneralizedSubstitution, base: Cell, n: int, resolution: int
 ) -> frozenset[CellWord]:
-    """All length-n cell words seen in sigma^j(base) for j <= bound.
+    """All length-n cell words occurring in some sigma^j(base), j >= 1.
 
     At a fixed resolution the cell trace of a metric limit of occurring words
     eventually agrees with the cell traces of the approximants, so limit
     words contribute no cells beyond the direct occurrences."""
     if n < 1:
         raise ConstructionError("need n >= 1")
-    current: set[CellWord] = {(base,)}
-    seen: set[CellWord] = set()
-    for _ in range(bound):
-        following: set[CellWord] = set()
-        for u in current:
-            img = g.apply(u, resolution)
-            top = min(n, len(img))
-            for size in range(1, top + 1):
-                for i in range(len(img) - size + 1):
-                    following.add(img[i : i + size])
-        current = following
-        seen |= {w for w in current if len(w) == n}
-    return frozenset(seen)
+    return frozenset(w for w in _factor_closure(g, (base,), n, resolution) if len(w) == n)
 
 
 # -- omega-limit fixed points ------------------------------------------------------
@@ -455,13 +459,14 @@ def omega_fixed_point(
     right_seed: Cell,
     radius: int,
     iters: int = 64,
-    legality_bound: int = 12,
     resolution: int | None = None,
 ) -> OmegaWindow:
     """Iterate the two-sided extension from ...left.right... until the
     [-radius, radius) cell window recurs; the recurring window belongs to the
-    omega-limit of the seed.  Runs at the substitution's full resolution
-    unless a coarser one is requested."""
+    omega-limit of the seed.  The seed must be legal: a two-cell word of some
+    sigma^j(a), decided exactly by one closure seeded from every cell.  Runs
+    at the substitution's full resolution unless a coarser one is
+    requested."""
     if radius < 1:
         raise ConstructionError("omega window radius must be >= 1")
     if resolution is None:
@@ -469,13 +474,8 @@ def omega_fixed_point(
     frontier = g.space.frontier(resolution)
     if left_seed not in frontier or right_seed not in frontier:
         raise ConstructionError("seed cells must belong to the working partition")
-    legal = False
-    for a in frontier:
-        if (left_seed, right_seed) in language(g, a, 2, resolution, legality_bound):
-            legal = True
-            break
-    if not legal:
-        raise SeedNotLegal(f"{left_seed} {right_seed} never occurs within the bound")
+    if (left_seed, right_seed) not in _factor_closure(g, frontier, 2, resolution):
+        raise SeedNotLegal(f"{left_seed} {right_seed} occurs in no iterated image")
 
     keep = radius * g.max_image_length(resolution) + radius + 4
     left: CellWord = (left_seed,)

@@ -54,9 +54,6 @@ class ProductPoint:
     origin: int
     odometer: OdometerPoint
 
-    def word_margin(self) -> int:
-        return min(self.origin, len(self.text) - self.origin)
-
 
 def product_step(p: ProductPoint) -> ProductPoint:
     """T: shift the word window, add one on the odometer."""

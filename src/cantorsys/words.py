@@ -128,10 +128,6 @@ class Word:
     def startswith(self, prefix: "Word") -> bool:
         return self._letters[: len(prefix)] == prefix.letters
 
-    def endswith(self, suffix: "Word") -> bool:
-        n = len(suffix)
-        return n == 0 or self._letters[-n:] == suffix.letters
-
     def factors(self, n: int) -> Iterator["Word"]:
         """All factors of length n, left to right (with repetitions)."""
         for i in range(len(self._letters) - n + 1):

@@ -218,7 +218,7 @@ def test_criterion_09_generalized_xi():
         and decomposition.cuts == (-4, -2, 0, 2, 4)
         and all(cut % 2 == 0 for cut in decomposition.cuts)
     )
-    words = gensub_language(g, cells["0"], 2, 8, bound=12)
+    words = gensub_language(g, cells["0"], 2, 8)
     language_ok = (cells["[8,inf]"], cells["0"]) in words
     report(9, "xi: displayed window at radius 8, even cuts, infinity-0 in the language",
            window_ok and cuts_ok and language_ok)

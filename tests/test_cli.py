@@ -1,6 +1,7 @@
 """Command-line interface: document parsing, report shape, determinism,
 exit codes, and the per-command verify oracles."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -172,14 +173,14 @@ class TestGensub:
     def test_primitive(self):
         payload, code = run(
             ["gensub", "primitive", "--builtin", "zero-successor",
-             "--resolution", "6", "--bound", "10"]
+             "--resolution", "6"]
         )
         assert code == 0
 
     def test_language_contains_tail_zero(self):
         payload, code = run(
             ["gensub", "language", "--builtin", "zero-successor", "--resolution", "8",
-             "--base", "0", "--length", "2", "--bound", "12"]
+             "--base", "0", "--length", "2"]
         )
         assert code == 0
         assert "[8,inf] 0" in payload["words"]
@@ -214,6 +215,75 @@ class TestGensub:
              "--power", "3", "--samples", "4"]
         )
         assert code == 0
+
+
+class ReadRecorder(argparse.Namespace):
+    """Parsed arguments that record which of them a handler reads."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_") and name in object.__getattribute__(self, "__dict__"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _choices(parser: argparse.ArgumentParser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# one call per subcommand; sub analyze runs an aperiodic rule so that its
+# --bound (the recognizability radius bound) is read
+FLAG_CALLS = [
+    ["sub", "analyze", "--file", "pd.sub", "--verify"],
+    ["sub", "language", "--file", "pd.sub", "--horizon", "6", "--length", "3", "--verify"],
+    ["sub", "derive", "--file", "pd.sub", "--letter", "0", "--verify"],
+    ["sub", "self-induce", "--file", "pd.sub", "--depth", "8", "--samples", "4", "--verify"],
+    ["gensub", "validate", "--builtin", "zero-successor", "--resolution", "4"],
+    ["gensub", "primitive", "--builtin", "zero-successor", "--resolution", "4"],
+    ["gensub", "language", "--builtin", "zero-successor", "--resolution", "4",
+     "--base", "0", "--length", "3"],
+    ["gensub", "fixedpoint", "--builtin", "zero-successor", "--resolution", "8",
+     "--left", "0", "--right", "1", "--radius", "4", "--verify"],
+    ["gensub", "decompose", "--builtin", "zero-successor", "--resolution", "8",
+     "--cells", XI_WINDOW, "--origin", "4"],
+    ["gensub", "from-system", "--system", "2adic", "--resolution", "3"],
+    ["gensub", "power-check", "--system", "2adic", "--resolution", "3",
+     "--power", "2", "--samples", "2"],
+]
+
+
+class TestDeclaredFlags:
+    def test_calls_cover_every_subcommand(self):
+        groups = _choices(cli.build_parser())
+        declared = {(g, name) for g in ("sub", "gensub") for name in _choices(groups[g])}
+        assert {(argv[0], argv[1]) for argv in FLAG_CALLS} == declared
+
+    @pytest.mark.parametrize("argv", FLAG_CALLS, ids=lambda argv: " ".join(argv[:2]))
+    def test_every_declared_flag_is_read(self, docs, argv):
+        parser = cli.build_parser()
+        args = parser.parse_args([docs.get(a, a) for a in argv])
+        recorded = ReadRecorder(**vars(args))
+        recorded._reads = set()
+        cli.HANDLERS[args.command](recorded, cli.Checks(), {})
+        subparser = _choices(_choices(parser)[argv[0]])[argv[1]]
+        flags = {a.dest for a in subparser._actions if a.option_strings and a.dest != "help"}
+        assert flags - recorded._reads == set()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(argv, ["--bound", "32"]) for argv in FLAG_CALLS if argv[0] == "gensub"]
+        + [
+            (FLAG_CALLS[1], ["--bound", "32"]),
+            (FLAG_CALLS[0], ["--horizon", "64"]),
+            (FLAG_CALLS[2], ["--depth", "12"]),
+            (FLAG_CALLS[4], ["--verify"]),
+            (FLAG_CALLS[9], ["--builtin", "zero-successor"]),
+        ],
+    )
+    def test_undeclared_flag_exits_2(self, docs, argv, flag):
+        payload, code = run([docs.get(a, a) for a in argv] + flag)
+        assert code == 2
+        assert payload == {"error": "usage"}
 
 
 class TestProduct:

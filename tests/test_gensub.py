@@ -8,6 +8,7 @@ infinity sentinel, independent of the cell tables under test.
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cantorsys.errors import ConstructionError, OverlapViolation, SeedNotLegal
 from cantorsys.gensub import (
@@ -124,7 +125,7 @@ class TestContinuity:
 
 class TestPrimitivity:
     def test_xi_exponent_table(self, xi8):
-        table = is_primitive_at_resolution(xi8, 8, bound=12)
+        table = is_primitive_at_resolution(xi8, 8)
         assert all(value is not None for value in table.values())
         # oracle: exponents from raw integer iteration
         space = xi8.space
@@ -152,13 +153,29 @@ class TestPrimitivity:
     def test_one_cell_resolution(self):
         g = zero_successor_substitution(2)
         # resolution 1: cells {0} and the tail; both met immediately by 0 x
-        table = is_primitive_at_resolution(g, 1, bound=4)
+        table = is_primitive_at_resolution(g, 1)
         assert set(table.values()) <= {1, 2}
 
     def test_non_primitive_two_letters(self):
         g = discrete_substitution(discrete_space(["a", "b"]), {"a": "aa", "b": "bb"})
-        table = is_primitive_at_resolution(g, 1, bound=10)
+        table = is_primitive_at_resolution(g, 1)
         assert all(value is None for value in table.values())
+
+    def test_swap_is_never_primitive(self):
+        # sigma^k(a) and sigma^k(b) are two different letters: no power of
+        # the pair meets one target from both cells
+        g = discrete_substitution(discrete_space(["a", "b"]), {"a": "b", "b": "a"})
+        table = is_primitive_at_resolution(g, 1)
+        assert table == dict.fromkeys(g.space.frontier(1))
+
+    def test_exponents_grow_with_the_resolution(self):
+        # cell k is first met by every k+1-th image; the tail needs 40 steps
+        table = is_primitive_at_resolution(zero_successor_substitution(40), 40)
+        assert None not in table.values()
+        assert max(table.values()) == 40
+        assert {c.name: v for c, v in table.items() if v < 40} == {
+            str(k): k + 1 for k in range(39)
+        }
 
 
 class TestLanguage:
@@ -166,25 +183,25 @@ class TestLanguage:
         space = xi8.space
         zero = xi_cell(space, 8, 0)
         tail = xi_cell(space, 8, INF)
-        words = language(xi8, zero, 2, 8, bound=12)
+        words = language(xi8, zero, 2, 8)
         assert (tail, zero) in words
 
     def test_single_letters_cover_all_cells(self, xi8):
         space = xi8.space
         zero = xi_cell(space, 8, 0)
-        words = language(xi8, zero, 1, 8, bound=12)
+        words = language(xi8, zero, 1, 8)
         assert {w[0] for w in words} == set(space.frontier(8))
 
     def test_base_independence(self, xi8):
         space = xi8.space
         cells = [xi_cell(space, 8, v) for v in (0, 3, INF)]
-        results = [language(xi8, c, 2, 8, bound=14) for c in cells]
+        results = [language(xi8, c, 2, 8) for c in cells]
         assert results[0] == results[1] == results[2]
 
     def test_discrete_matches_substitution_module(self):
         g = discrete_substitution(discrete_space(["0", "1"]), {"0": "01", "1": "00"})
         base = g.space.frontier(1)[0]
-        words = language(g, base, 2, 1, bound=12)
+        words = language(g, base, 2, 1)
         as_words = {Word("".join(c.name for c in w)) for w in words}
         expected = set(sub_language(period_doubling(), 2).words(2))
         assert as_words == expected
@@ -193,13 +210,24 @@ class TestLanguage:
         # direct comparison against integer iteration for n = 3
         space = xi8.space
         zero = xi_cell(space, 8, 0)
-        words = language(xi8, zero, 3, 8, bound=10)
+        words = language(xi8, zero, 3, 8)
         oracle = set()
         for j in range(1, 11):
             letters = xi_orbit_letters(0, j)
             cells = [xi_cell(space, 8, x) for x in letters]
             for i in range(len(cells) - 2):
                 oracle.add(tuple(cells[i : i + 3]))
+        assert words == frozenset(oracle)
+
+    def test_long_words_need_no_bound(self, xi8):
+        # sigma^j(0) for j <= 4 shows only 9 of the 48 words
+        space = xi8.space
+        words = language(xi8, xi_cell(space, 8, 0), 8, 8)
+        oracle = set()
+        for j in range(1, 13):
+            cells = [xi_cell(space, 8, x) for x in xi_orbit_letters(0, j)]
+            oracle.update(tuple(cells[i : i + 8]) for i in range(len(cells) - 7))
+        assert len(words) == 48
         assert words == frozenset(oracle)
 
 
@@ -244,6 +272,13 @@ class TestOmegaFixedPoint:
         one = xi_cell(xi8.space, 8, 1)
         with pytest.raises(ConstructionError):
             omega_fixed_point(xi8, zero, one, radius=radius)
+
+    def test_late_seed_is_legal(self):
+        # 12 0 first occurs in a 13th image of a cell
+        g = zero_successor_substitution(13)
+        cells = {c.name: c for c in g.space.frontier(13)}
+        result = omega_fixed_point(g, cells["12"], cells["0"], radius=4)
+        assert len(result.window.cells) == 8
 
     def test_illegal_seed(self, xi8):
         space = xi8.space
@@ -349,8 +384,8 @@ class TestMonotonicity:
     def test_refining_resolution_refines_language(self, xi8):
         space = xi8.space
         zero8 = xi_cell(space, 8, 0)
-        fine = language(xi8, zero8, 2, 8, bound=10)
-        coarse = language(xi8, xi_cell(space, 4, 0), 2, 4, bound=10)
+        fine = language(xi8, zero8, 2, 8)
+        coarse = language(xi8, xi_cell(space, 4, 0), 2, 4)
         projected = {
             tuple(space.ancestor_at(c, 4) for c in w) for w in fine
         }
@@ -426,7 +461,7 @@ class TestStructuralInvariants:
         assert checked >= 1000
 
     def test_one_cell_resolution_exponent_one(self, xi8):
-        table = is_primitive_at_resolution(xi8, 0, bound=4)
+        table = is_primitive_at_resolution(xi8, 0)
         assert table == {xi8.space.root: 1}
 
 
@@ -439,3 +474,70 @@ class TestStabilizationLimit:
         one = xi_cell(space, 8, 1)
         with pytest.raises(NoStabilization):
             omega_fixed_point(xi8, zero, one, radius=8, iters=3)
+
+
+# -- the exact closures against the bounded loops they replaced -------------------
+
+
+def bounded_language(g, base, n, resolution, bound):
+    """Length-n cell words seen in sigma^j(base) for j <= bound."""
+    current = {(base,)}
+    seen = set()
+    for _ in range(bound):
+        following = set()
+        for u in current:
+            img = g.apply(u, resolution)
+            for size in range(1, min(n, len(img)) + 1):
+                for i in range(len(img) - size + 1):
+                    following.add(img[i : i + size])
+        current = following
+        seen |= {w for w in current if len(w) == n}
+    return frozenset(seen)
+
+
+def bounded_primitivity(g, resolution, bound):
+    """Least j <= bound with every cell's k-th image meeting V for every
+    j <= k <= bound, per target V; None when there is none."""
+    frontier = g.space.frontier(resolution)
+    step = {a: frozenset(g.image(a, resolution)) for a in frontier}
+    reached = {1: step}
+    for k in range(2, bound + 1):
+        reached[k] = {
+            a: frozenset().union(*(step[c] for c in reached[k - 1][a])) for a in frontier
+        }
+    table = {}
+    for target in frontier:
+        table[target] = next(
+            (
+                j
+                for j in range(1, bound + 1)
+                if all(target in reached[k][a] for a in frontier for k in range(j, bound + 1))
+            ),
+            None,
+        )
+    return table
+
+
+@st.composite
+def finite_rules(draw):
+    letters = "abcd"[: draw(st.integers(2, 4))]
+    image = st.text(alphabet=letters, min_size=1, max_size=3)
+    return {a: draw(image) for a in letters}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(finite_rules(), st.integers(0, 3), st.integers(1, 3))
+@example({"a": "b", "b": "a"}, 0, 2)
+@example({"a": "aa", "b": "bb"}, 1, 2)
+@example({"a": "ab", "b": "c", "c": "b"}, 2, 3)
+def test_closures_match_the_bounded_loops(rules, base_index, n):
+    """The bounded loops are exact at bounds past the closures' sizes: the
+    language closure's BFS depth cannot exceed its number of words, and the
+    reached sets of one target repeat within 2^|F| steps."""
+    g = discrete_substitution(discrete_space(sorted(rules)), rules)
+    frontier = g.space.frontier(1)
+    base = frontier[base_index % len(frontier)]
+    words_bound = sum(len(frontier) ** i for i in range(1, n + 1)) + 1
+    assert language(g, base, n, 1) == bounded_language(g, base, n, 1, words_bound)
+    reach_bound = 2 ** len(frontier) + len(frontier) + 2
+    assert is_primitive_at_resolution(g, 1) == bounded_primitivity(g, 1, reach_bound)
